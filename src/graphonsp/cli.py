@@ -66,11 +66,14 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise GraphonError("config must be a JSON object")
         cfg = cls()
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise GraphonError(f"unknown config keys: {sorted(unknown)}")
         for key, val in data.items():
+            _check_field(key, val, getattr(cfg, key))
             setattr(cfg, key, val)
         return cfg
 
@@ -85,6 +88,26 @@ class RunConfig:
         if self.graphon_family == "rank_one_exp":
             return core.RankOneExp(self.graphon_c, self.graphon_lam)
         raise GraphonError(f"unknown graphon family {self.graphon_family!r}")
+
+
+def _same_kind(val, default) -> bool:
+    """``val`` has the type of ``default``; ints pass for floats, which must
+    be finite, and bools pass only for bools."""
+    if isinstance(default, bool) or isinstance(val, bool):
+        return isinstance(val, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(val, (int, float)) and math.isfinite(val)
+    return isinstance(val, type(default))
+
+
+def _check_field(key: str, val, default) -> None:
+    if isinstance(default, list):
+        ok = isinstance(val, list) and all(_same_kind(x, default[0]) for x in val)
+    else:
+        ok = _same_kind(val, default)
+    if not ok:
+        raise GraphonError(f"config key {key!r} must have the type of its default "
+                           f"{default!r}, with finite numbers; got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -254,16 +277,26 @@ def cmd_fit_filter(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
 def _load_comparison_input(cfg: RunConfig, text: str):
     """An input is an edge-list path or a spec string like
     'constant_box:p=0.5,s=1'."""
-    known = {"celebrity", "constant_box", "rank_one_exp"}
+    spec_keys = {"celebrity": (), "constant_box": ("p", "s"),
+                 "rank_one_exp": ("c", "lam")}
     head = text.split(":", 1)[0]
-    if head not in known:
+    if head not in spec_keys:
         g = core.read_edge_list(text)
         return core.canonical_graphon(g)
+    allowed = spec_keys[head]
     params = {}
     if ":" in text:
         for item in text.split(":", 1)[1].split(","):
-            key, val = item.split("=")
-            params[key.strip()] = float(val)
+            key, sep, val = item.partition("=")
+            try:
+                num = float(val) if sep and key.strip() in allowed else math.nan
+            except ValueError:
+                num = math.nan
+            if not math.isfinite(num):
+                raise GraphonError(
+                    f"bad item {item!r} in spec {text!r}: expected key=value with "
+                    f"key in {list(allowed)} and a finite number")
+            params[key.strip()] = num
     if head == "celebrity":
         return core.CelebrityLimit()
     if head == "constant_box":

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     EmptyGraphError,
@@ -45,6 +46,7 @@ __all__ = [
     "step_difference",
     "l1_distance",
     "common_grid",
+    "union_grid",
     "read_edge_list",
     "write_edge_list",
 ]
@@ -71,8 +73,15 @@ class Graph:
         n = int(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+        if arr.dtype.kind in "iu":
+            arr = arr.astype(np.int64, copy=False)
+        else:
+            with np.errstate(invalid="ignore"):
+                ints = arr.astype(np.int64)
+            if not np.array_equal(ints, arr):
+                raise ValueError("edge endpoints must be integers")
+            arr = ints
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -119,8 +128,6 @@ class Graph:
 
     def adjacency(self, sparse: bool = True):
         """Adjacency matrix, CSR by default."""
-        import scipy.sparse as sp
-
         m = self.edge_count
         if sparse:
             r = np.concatenate([self.edge_array[:, 0], self.edge_array[:, 1]])
@@ -221,6 +228,11 @@ class _StepBase:
 
 class StepGraphon(_StepBase):
     """Piecewise-constant symmetric nonnegative function on ``[0, t]^2``."""
+
+    @property
+    def l1_norm(self) -> float:
+        # values are nonnegative: same sum as |values|, without a k x k copy
+        return self.cell_width**2 * float(self.values.sum())
 
     def _check_bound(self):
         if self.values.size and self.values.min() < 0:
@@ -599,12 +611,12 @@ def as_step(w: GraphonSpec, resolution: int | None = None,
 # exact arithmetic on pairs of step graphons
 # ---------------------------------------------------------------------------
 
-def common_grid(a: _StepBase, b: _StepBase):
+def union_grid(a: _StepBase, b: _StepBase):
     """Exact common (possibly nonuniform) grid for two step graphons.
 
-    Returns ``(widths, va, vb)``: cell widths of the union grid covering
-    ``[0, max(ta, tb)]`` and both value matrices looked up on it.  This is
-    exact for arbitrary supports; no resampling occurs.
+    Returns ``(widths, idx_a, idx_b)``: cell widths of the union grid
+    covering ``[0, max(ta, tb)]`` and, per input, the input's own cell under
+    each union cell (``-1`` outside its support).  No resampling occurs.
     """
     T = max(a.t, b.t)
     bp = np.concatenate([
@@ -618,19 +630,35 @@ def common_grid(a: _StepBase, b: _StepBase):
     bp = bp[keep]
     if bp[-1] < T:
         bp = np.append(bp, T)
-    widths = np.diff(bp)
     mids = (bp[:-1] + bp[1:]) / 2.0
+    return np.diff(bp), _cell_index(a, mids), _cell_index(b, mids)
 
-    def lookup(w: _StepBase) -> np.ndarray:
-        idx = np.floor(mids / w.cell_width).astype(np.int64)
-        ok = (mids <= w.t) & (idx < w.k)
-        out = np.zeros((mids.size, mids.size))
-        ii = np.nonzero(ok)[0]
-        if ii.size:
-            out[np.ix_(ii, ii)] = w.values[np.ix_(idx[ii], idx[ii])]
-        return out
 
-    return widths, lookup(a), lookup(b)
+def _cell_index(w: _StepBase, mids: np.ndarray) -> np.ndarray:
+    """Cell of ``w`` containing each midpoint, ``-1`` outside ``[0, t]``."""
+    idx = np.floor(mids / w.cell_width).astype(np.int64)
+    idx[(mids > w.t) | (idx >= w.k)] = -1
+    return idx
+
+
+def _lookup(values, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Dense ``values[rows][:, cols]`` for index maps, zero where an index is
+    -1; ``values`` may be an array or a scipy.sparse matrix."""
+    out = np.zeros((rows.size, cols.size))
+    ri, ci = np.nonzero(rows >= 0)[0], np.nonzero(cols >= 0)[0]
+    if ri.size and ci.size:
+        sub = values[np.ix_(rows[ri], cols[ci])]
+        out[np.ix_(ri, ci)] = sub.toarray() if sp.issparse(sub) else sub
+    return out
+
+
+def common_grid(a: _StepBase, b: _StepBase):
+    """Union-grid widths and both value matrices looked up on that grid.
+
+    Returns ``(widths, va, vb)``; see :func:`union_grid`.
+    """
+    widths, ia, ib = union_grid(a, b)
+    return widths, _lookup(a.values, ia, ia), _lookup(b.values, ib, ib)
 
 
 def step_difference(a: _StepBase, b: _StepBase,
@@ -641,34 +669,21 @@ def step_difference(a: _StepBase, b: _StepBase,
     midpoint-resampled at ``resolution`` cells (which must be supplied).
     """
     T = max(a.t, b.t)
+    k_new = resolution
     frac = _rational_ratio(a.cell_width, b.cell_width, 4096)
     if frac is not None:
         width = a.cell_width / frac.numerator  # == b.cell_width / frac.denominator
-        k_new = int(round(T / width))
-        if k_new <= _MAX_REFINE_CELLS and abs(k_new * width - T) <= 1e-9 * T:
-            mids = (np.arange(k_new) + 0.5) * (T / k_new)
-            va = _lookup_square(a, mids)
-            vb = _lookup_square(b, mids)
-            bound = a.value_bound + b.value_bound
-            return SignedStepGraphon(va - vb, T, bound if bound > 0 else 1.0)
-    if resolution is None:
+        k_exact = int(round(T / width))
+        if k_exact <= _MAX_REFINE_CELLS and abs(k_exact * width - T) <= 1e-9 * T:
+            k_new = k_exact
+    if k_new is None:
         raise SupportMismatchError(
             "grids share no rational refinement; pass a resolution to resample")
-    mids = (np.arange(resolution) + 0.5) * (T / resolution)
-    va = _lookup_square(a, mids)
-    vb = _lookup_square(b, mids)
+    mids = (np.arange(k_new) + 0.5) * (T / k_new)
+    ia, ib = _cell_index(a, mids), _cell_index(b, mids)
+    va, vb = _lookup(a.values, ia, ia), _lookup(b.values, ib, ib)
     bound = a.value_bound + b.value_bound
     return SignedStepGraphon(va - vb, T, bound if bound > 0 else 1.0)
-
-
-def _lookup_square(w: _StepBase, mids: np.ndarray) -> np.ndarray:
-    idx = np.floor(mids / w.cell_width).astype(np.int64)
-    ok = (mids <= w.t) & (idx < w.k)
-    out = np.zeros((mids.size, mids.size))
-    ii = np.nonzero(ok)[0]
-    if ii.size:
-        out[np.ix_(ii, ii)] = w.values[np.ix_(idx[ii], idx[ii])]
-    return out
 
 
 def l1_distance(a: _StepBase, b: _StepBase) -> float:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import core
 from .core import (
@@ -53,8 +54,7 @@ class CutResult:
     def recompute(self, w) -> float:
         """Re-evaluate the bilinear objective at the stored witnesses."""
         area = (w.t / w.k) ** 2
-        return _evaluate(w.values, list(self.witness_rows),
-                         list(self.witness_cols), area)
+        return _evaluate(w.values[np.ix_(self.witness_rows, self.witness_cols)], area)
 
 
 @dataclass(frozen=True)
@@ -122,47 +122,51 @@ def _bilinear_max_exact(M: np.ndarray):
     return rows, cols
 
 
-def _bilinear_max_heuristic(M: np.ndarray, restarts: int, rng):
+def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
     """Alternating row/column maximization from random starts.
 
-    Cells with exactly zero marginal contribution are excluded, which makes
-    the iteration deterministic given the seed.
+    ``matmat(X)`` returns ``M @ X`` for a symmetric ``k x k`` kernel ``M``
+    and a ``k x c`` block ``X``.  Every restart runs once per sign; all
+    ``2 * restarts`` runs advance together as the columns of one block
+    (restart ``r`` in columns ``2r`` and ``2r + 1``), and a column freezes
+    once its selection stops changing.  Cells with exactly zero marginal
+    contribution are excluded, which makes the iteration deterministic
+    given the seed.  The first column of largest value wins.
     """
-    k = M.shape[0]
-    best = -1.0
-    best_rows: np.ndarray = np.zeros(k, dtype=bool)
-    best_cols: np.ndarray = np.zeros(k, dtype=bool)
-    for _ in range(max(1, restarts)):
-        t0 = rng.random(k) < 0.5
-        for sign in (1.0, -1.0):
-            t = t0.copy()
-            s = np.zeros(k, dtype=bool)
-            for _ in range(100):
-                s = sign * (M @ t) > 0.0
-                t_new = sign * (M.T @ s) > 0.0
-                if np.array_equal(t_new, t):
-                    break
-                t = t_new
-            val = abs(float(s @ M @ t))
-            if val > best:
-                best = val
-                best_rows, best_cols = s.copy(), t.copy()
-    rows = [int(i) for i in np.nonzero(best_rows)[0]]
-    cols = [int(j) for j in np.nonzero(best_cols)[0]]
+    R = max(1, restarts)
+    T = np.repeat(rng.random((R, k)) < 0.5, 2, axis=0).T.copy()
+    sign = np.tile([1.0, -1.0], R)
+    S = np.zeros(T.shape, dtype=bool)
+    MS = np.zeros(T.shape)
+    active = np.arange(2 * R)
+    for _ in range(100):
+        if not active.size:
+            break
+        sg = sign[active]
+        S[:, active] = sg * matmat(T[:, active].astype(np.float64)) > 0.0
+        MS[:, active] = matmat(S[:, active].astype(np.float64))
+        T_new = sg * MS[:, active] > 0.0
+        moved = (T_new != T[:, active]).any(axis=0)
+        T[:, active] = T_new
+        active = active[moved]
+    # s' M t == t' M s for symmetric M, and M s is at hand for every column
+    best = int(np.argmax(np.abs((MS * T).sum(axis=0))))
+    rows = [int(i) for i in np.nonzero(S[:, best])[0]]
+    cols = [int(j) for j in np.nonzero(T[:, best])[0]]
     return rows, cols
 
 
-def _evaluate(M: np.ndarray, rows, cols, area: float) -> float:
+def _evaluate(sub: np.ndarray, area: float) -> float:
     """Canonical witness evaluation: selected entries summed in sorted order.
 
-    On a symmetric kernel the pairs (S, T) and (T, S) select the same
-    multiset of entries; sorting before summation makes the float result
-    identical for both, so independent maximizers agree bit-for-bit.
+    ``sub`` is the kernel restricted to the witness rows and columns.  On a
+    symmetric kernel the pairs (S, T) and (T, S) select the same multiset of
+    entries; sorting before summation makes the float result identical for
+    both, so independent maximizers agree bit-for-bit.
     """
-    if not rows or not cols:
+    if not sub.size:
         return 0.0
-    sub = np.sort(M[np.ix_(rows, cols)], axis=None)
-    return abs(area * float(sub.sum()))
+    return abs(area * float(np.sort(sub, axis=None).sum()))
 
 
 def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutResult:
@@ -182,29 +186,56 @@ def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutRe
         exact = True
     elif mode == "heuristic":
         rng = substream(seed, 0xC07)
-        rows, cols = _bilinear_max_heuristic(M, restarts, rng)
+        rows, cols = _bilinear_max_heuristic(M.__matmul__, w.k, restarts, rng)
         exact = False
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    value = _evaluate(M, rows, cols, area)
+    value = _evaluate(M[np.ix_(rows, cols)], area)
     return CutResult(value, tuple(rows), tuple(cols), exact)
 
 
-def _weighted_cut_norm(V: np.ndarray, widths: np.ndarray, mode: str,
-                       restarts: int, seed: int) -> CutResult:
-    """Cut norm of a step kernel on a nonuniform grid with given cell widths."""
-    M = V * np.outer(widths, widths)
-    if mode == "exact":
-        if M.shape[0] > EXACT_CUT_LIMIT:
-            raise ResolutionTooLargeError(
-                f"exact cut norm is limited to k <= {EXACT_CUT_LIMIT}")
-        rows, cols = _bilinear_max_exact(M)
-        exact = True
+class _UnionKernel:
+    """Difference of two step kernels on their union grid, never formed.
+
+    With union-cell widths ``w`` and, per input, the value matrix ``V`` (CSR)
+    and the index map ``idx`` from union cells to the input's cells (``-1``
+    outside its support), the kernel is ``M = Qa' Va Qa - Qb' Vb Qb``, where
+    ``Q`` is the ``k x U`` selection matrix weighted by ``w``.  A product
+    ``M @ X`` costs ``O(nnz + U)`` per column.
+    """
+
+    def __init__(self, widths, Va, idx_a, Vb, idx_b):
+        self.widths = widths
+        self.sides = []
+        for V, idx in ((Va, idx_a), (Vb, idx_b)):
+            inside = np.nonzero(idx >= 0)[0]
+            Q = sp.csr_matrix((widths[inside], (idx[inside], inside)),
+                              shape=(V.shape[0], idx.size))
+            self.sides.append((V, idx, Q))
+
+    def matmat(self, X: np.ndarray) -> np.ndarray:
+        # a trailing zero row makes index -1 (outside the support) read zero
+        pad = np.zeros((1, X.shape[1]))
+        za, zb = (np.vstack([V @ (Q @ X), pad])[idx] for V, idx, Q in self.sides)
+        return self.widths[:, None] * (za - zb)
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Dense ``M[rows][:, cols]``, bit-identical to the materialized kernel."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        va, vb = (core._lookup(V, idx[rows], idx[cols]) for V, idx, _ in self.sides)
+        return (va - vb) * np.outer(self.widths[rows], self.widths[cols])
+
+
+def _union_cut(kernel: _UnionKernel, exact: bool, restarts: int, seed: int) -> CutResult:
+    """Cut norm of a union-grid kernel: exact for tiny grids, else heuristic."""
+    U = kernel.widths.size
+    if exact:
+        rows, cols = _bilinear_max_exact(kernel.block(np.arange(U), np.arange(U)))
     else:
         rng = substream(seed, 0xC07)
-        rows, cols = _bilinear_max_heuristic(M, restarts, rng)
-        exact = False
-    value = _evaluate(M, rows, cols, 1.0)
+        rows, cols = _bilinear_max_heuristic(kernel.matmat, U, restarts, rng)
+    value = _evaluate(kernel.block(rows, cols), 1.0)
     return CutResult(value, tuple(rows), tuple(cols), exact)
 
 
@@ -341,9 +372,10 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     Both inputs are stretched to unit 1-norm, placed on a common grid over
     ``[0, max(t1, t2)]`` (zero-padding the shorter support) and compared with
     :func:`cut_distance_steps`.  When the two grids are incommensurable the
-    difference is formed exactly on the nonuniform union grid and only the
-    identity alignment is evaluated (an upper bound on the relabeled
-    distance); the result is then flagged ``exact=False``.
+    difference is applied exactly, as an implicit operator, on the
+    nonuniform union grid.  Only the identity alignment and (outside exact
+    mode) both inputs sorted by degree are evaluated, an upper bound on the
+    relabeled distance; the result is then flagged ``exact=False``.
     """
     s1, _ = stretch(_to_spec(w1))
     s2, _ = stretch(_to_spec(w2))
@@ -360,22 +392,25 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
         except ResolutionTooLargeError:
             pass  # fall through to the nonuniform path
 
-    def union_cut(x, y):
-        widths, vx, vy = core.common_grid(x, y)
-        cut_mode = ("exact" if (mode == "exact" and widths.size <= EXACT_CUT_LIMIT)
-                    else "heuristic")
-        return _weighted_cut_norm(vx - vy, widths, cut_mode, restarts, seed)
-
     # each input's own cells are equal-measure, so sorting them by row sum
     # is a valid relabeling even though the union grid is nonuniform
-    candidates = [union_cut(a, b)]
+    widths, ia, ib = core.union_grid(a, b)
+    Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
+    exact = mode == "exact" and widths.size <= EXACT_CUT_LIMIT
+    candidates = [_union_cut(_UnionKernel(widths, Va, ia, Vb, ib),
+                             exact, restarts, seed)]
     if mode != "exact":
-        sa = _permute(a.values, _degree_sort_perm(a.values))
-        sb = _permute(b.values, _degree_sort_perm(b.values))
-        candidates.append(union_cut(type(a)(sa, a.t, a.value_bound),
-                                    type(b)(sb, b.t, b.value_bound)))
+        pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
+        candidates.append(_union_cut(
+            _UnionKernel(widths, Va, _relabel(ia, pa), Vb, _relabel(ib, pb)),
+            exact, restarts, seed))
     cut = min(candidates, key=lambda c: c.value)
     return AlignmentResult(cut.value, None, False, cut)
+
+
+def _relabel(idx: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Index map of the relabeled input whose cell ``i`` is old cell ``perm[i]``."""
+    return np.where(idx >= 0, perm[idx], -1)
 
 
 def _to_spec(w) -> GraphonSpec:

@@ -40,10 +40,40 @@ def brute_force_cut_norm(w) -> float:
     si, ti = divmod(flat, 1 << k)
     rows = [i for i in range(k) if (si >> i) & 1]
     cols = [j for j in range(k) if (ti >> j) & 1]
-    if not rows or not cols:
+    return sorted_cut_value(M, rows, cols, area)
+
+
+def sorted_cut_value(M, rows, cols, area=1.0) -> float:
+    """Canonical evaluation: sorted summation is orientation-invariant."""
+    if len(rows) == 0 or len(cols) == 0:
         return 0.0
-    # canonical evaluation: sorted summation is orientation-invariant
     return abs(area * float(np.sort(M[np.ix_(rows, cols)], axis=None).sum()))
+
+
+def sequential_heuristic_cut(M, restarts, rng):
+    """Alternating row/column maximization, one restart and sign at a time.
+
+    A plain dense loop: each restart draws its start from ``rng``, runs the
+    +1 then the -1 sign for at most 100 rounds, and the first strictly
+    larger ``|s' M t|`` wins.  Returns ``(rows, cols)``.
+    """
+    k = M.shape[0]
+    best = -1.0
+    best_s = best_t = np.zeros(k, dtype=bool)
+    for _ in range(max(1, restarts)):
+        t0 = rng.random(k) < 0.5
+        for sign in (1.0, -1.0):
+            t = t0.copy()
+            for _ in range(100):
+                s = sign * (M @ t) > 0.0
+                t_new = sign * (M.T @ s) > 0.0
+                if np.array_equal(t_new, t):
+                    break
+                t = t_new
+            val = abs(float(s @ M @ t))
+            if val > best:
+                best, best_s, best_t = val, s.copy(), t.copy()
+    return list(np.nonzero(best_s)[0]), list(np.nonzero(best_t)[0])
 
 
 def quadrature_l1_between(w, func, n_grid=4000):

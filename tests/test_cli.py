@@ -145,6 +145,36 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err and "error" in err
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("sample", '{"seed": "7"}', "seed"),
+        ("cutdist-union", '{"seed": "7"}', "seed"),
+        ("cutdist-exact", '{"seed": "7"}', "seed"),
+        ("sample", '{"t_schedule": [1.0, NaN]}', "t_schedule"),
+        ("cutdist-spec", None, "'p'"),
+    ], ids=["sample-seed-string", "cutdist-union-seed-string",
+            "cutdist-exact-seed-string", "sample-nan-schedule", "spec-without-value"])
+    def test_bad_input_gives_one_json_error(self, tmp_path, capsys, command,
+                                            config, key):
+        argv = {
+            "sample": ["sample"],
+            "cutdist-union": ["cutdist", str(small_graph_file(tmp_path)), "celebrity"],
+            "cutdist-exact": ["cutdist", "constant_box:p=0.5,s=1",
+                              "constant_box:p=0.125,s=2", "--mode", "exact"],
+            "cutdist-spec": ["cutdist", "constant_box:p", "celebrity"],
+        }[command] + ["--out", str(tmp_path / "out")]
+        if config is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(config, encoding="utf-8")
+            argv += ["--config", str(path)]
+        assert main(argv) != 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "GraphonError"
+        assert key in err["message"]
+        if command == "cutdist-spec":
+            assert "key=value" in err["message"]
+
     def test_mode_flag_overrides_config(self, tmp_path):
         out = tmp_path / "cd"
         rc = main(["cutdist", "celebrity", "celebrity", "--out", str(out),

@@ -29,6 +29,14 @@ class TestGraph:
         with pytest.raises(ValueError):
             gsp.Graph(3, [(0, 3)])
 
+    def test_rejects_fractional_endpoints(self):
+        with pytest.raises(ValueError, match="integers"):
+            gsp.Graph(3, [(0.7, 2.2)])
+        with pytest.raises(ValueError, match="integers"):
+            gsp.Graph(3, np.array([[0.0, np.nan]]))
+        # integral floats are the same edges as integers
+        assert gsp.Graph(3, [(0.0, 2.0)]) == gsp.Graph(3, [(0, 2)])
+
     def test_dedupes_reversed_edges(self):
         g = gsp.Graph(4, [(1, 0), (0, 1), (2, 3)])
         assert g.edge_count == 2

@@ -1,18 +1,42 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import graphonsp as gsp
+from graphonsp.core import union_grid
+from graphonsp.cutmetric import _degree_sort_perm, _relabel, _UnionKernel
 from graphonsp.errors import ResolutionTooLargeError, SupportMismatchError
 from graphonsp.rng import substream
 
 from helpers import (brute_force_cut_norm, dense_core_stretched_l1,
-                     quadrature_l1_between, random_step_graphon)
+                     quadrature_l1_between, random_step_graphon,
+                     sequential_heuristic_cut, sorted_cut_value)
 
 
 def stretched_clique(k):
     iu = np.triu_indices(k, 1)
     ws, _ = gsp.stretch(gsp.canonical_graphon(gsp.Graph(k, np.column_stack(iu))))
     return ws
+
+
+def scrambled_dense_core(n=2000):
+    """Dense-core graph with isolated vertices kept and labels scrambled."""
+    g = gsp.dense_core_graph(n, 0.5)
+    perm = substream(8, 1).permutation(g.n)
+    return gsp.Graph(g.n, np.column_stack([perm[g.edge_array[:, 0]],
+                                           perm[g.edge_array[:, 1]]]))
+
+
+def permuted(w, perm):
+    return type(w)(w.values[np.ix_(perm, perm)], w.t, w.value_bound)
+
+
+def dense_union_kernel(a, b):
+    """The materialized union-grid kernel ``(va - vb) * w w'``."""
+    widths, va, vb = gsp.common_grid(a, b)
+    return (va - vb) * np.outer(widths, widths)
 
 
 class TestCutNorm:
@@ -67,6 +91,22 @@ class TestCutNorm:
         w = gsp.StepGraphon(np.zeros((23, 23)), 1.0, 1.0)
         with pytest.raises(ResolutionTooLargeError):
             gsp.cut_norm(w, mode="exact")
+
+    def test_heuristic_matches_sequential_dense_loop(self):
+        # the batched restarts reproduce the one-at-a-time loop; symmetric
+        # pairs tie exactly, so the witness may come back as (T, S)
+        # few restarts often stop short of the maximum, so the value also
+        # depends on drawing the same starts in the same order
+        for seed in range(30):
+            w = random_step_graphon(seed, k=12, signed=True)
+            restarts = (1, 2, 16)[seed % 3]
+            res = gsp.cut_norm(w, mode="heuristic", restarts=restarts, seed=seed)
+            rows, cols = sequential_heuristic_cut(w.values, restarts,
+                                                  substream(seed, 0xC07))
+            area = (w.t / w.k) ** 2
+            assert res.value == sorted_cut_value(w.values, rows, cols, area)
+            assert (res.witness_rows, res.witness_cols) in (
+                (tuple(rows), tuple(cols)), (tuple(cols), tuple(rows)))
 
     def test_l1_gap_dominated_by_cut_norm(self):
         # |l1(w1) - l1(w2)| <= cutnorm(w1 - w2) for nonnegative pairs
@@ -199,17 +239,52 @@ class TestStretchedCutDistance:
         # isolated vertices kept and labels scrambled: the clique cells
         # scatter across the canonical graphon, and the degree alignment in
         # the incommensurable-grid path must reassemble the block
-        g = gsp.dense_core_graph(2000, 0.5)
         k = 299
-        perm = substream(8, 1).permutation(g.n)
-        scrambled = gsp.Graph(g.n,
-                              np.column_stack([perm[g.edge_array[:, 0]],
-                                               perm[g.edge_array[:, 1]]]))
-        res = gsp.stretched_cut_distance(gsp.canonical_graphon(scrambled),
+        res = gsp.stretched_cut_distance(gsp.canonical_graphon(scrambled_dense_core()),
                                          gsp.CelebrityLimit(),
                                          mode="degree_sort", restarts=8)
         assert res.permutation is None
         assert res.distance <= 2.0 / (k - 1)
+
+    def test_union_cut_value_matches_dense_kernel_at_witnesses(self):
+        # the value read from the implicit kernel equals the one recomputed
+        # from the dense common_grid matrices of the winning (degree-sorted)
+        # candidate, bit for bit
+        w = gsp.canonical_graphon(scrambled_dense_core())
+        res = gsp.stretched_cut_distance(w, gsp.CelebrityLimit(),
+                                         mode="degree_sort", restarts=8)
+        a, _ = gsp.stretch(w)
+        b = gsp.as_step(gsp.CelebrityLimit())
+        M = dense_union_kernel(permuted(a, _degree_sort_perm(a.values)), b)
+        assert res.cut.value == sorted_cut_value(M, res.cut.witness_rows,
+                                                 res.cut.witness_cols)
+
+    def test_union_path_never_materializes_the_union_kernel(self):
+        # one dense float U x U matrix takes 8 U^2 bytes; the implicit kernel
+        # and the batched restarts stay below it
+        w = gsp.canonical_graphon(scrambled_dense_core())
+        U = union_grid(gsp.stretch(w)[0], gsp.as_step(gsp.CelebrityLimit()))[0].size
+        tracemalloc.start()
+        try:
+            gsp.stretched_cut_distance(w, gsp.CelebrityLimit())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * U**2
+
+    def test_union_degree_sort_never_exceeds_exact(self):
+        # on a tiny union grid exact mode maximizes exactly over the
+        # identity alignment, which degree_sort also evaluates
+        for seed in range(10):
+            a = random_step_graphon(seed, k=7, t=1.3)
+            b = random_step_graphon(seed + 300, k=5, t=2.1)
+            U = union_grid(gsp.stretch(a)[0], gsp.stretch(b)[0])[0].size
+            assert U <= 22
+            ex = gsp.stretched_cut_distance(a, b, mode="exact")
+            ds = gsp.stretched_cut_distance(a, b, mode="degree_sort", seed=seed)
+            assert ex.permutation is None and ex.cut.exact
+            assert ds.distance <= ex.distance + 1e-12
+
 
     def test_exact_l1_closed_form_for_dense_core(self):
         # the straddling diagonal hole makes the exact l1 smaller than the
@@ -230,3 +305,26 @@ class TestStretchedCutDistance:
             q = quadrature_l1_between(stretched_clique(k), unit_square)
             assert q == pytest.approx(dense_core_stretched_l1(k), abs=1e-3)
             assert abs(q - 2.0 / (k - 1)) > 5e-3
+
+
+class TestUnionKernel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_union_kernel(self, seed):
+        # k=7 on [0, 1.3] against k=5 on [0, 2.1]: incommensurable grids,
+        # and the union cells beyond 1.3 lie outside the first support
+        a = random_step_graphon(seed, k=7, t=1.3, signed=True)
+        b = random_step_graphon(seed + 100, k=5, t=2.1)
+        widths, ia, ib = union_grid(a, b)
+        assert np.any(ia < 0) and not np.any(ib < 0)
+        X = substream(seed, 0x0B).standard_normal((widths.size, 5))
+        Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
+        pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
+        for kernel, M in (
+                (_UnionKernel(widths, Va, ia, Vb, ib), dense_union_kernel(a, b)),
+                (_UnionKernel(widths, Va, _relabel(ia, pa), Vb, _relabel(ib, pb)),
+                 dense_union_kernel(permuted(a, pa), permuted(b, pb)))):
+            want = M @ X
+            got = kernel.matmat(X)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            every = np.arange(widths.size)
+            assert np.array_equal(kernel.block(every, every), M)
