@@ -729,7 +729,28 @@ def read_edge_list(path) -> Graph:
 def write_edge_list(g: Graph, path) -> None:
     """Write a graph in the edge-list format, with an ``n`` header line."""
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"n {g.n}\n")
-        for i, j in g.edge_array:
-            fh.write(f"{int(i)} {int(j)}\n")
+    with path.open("wb") as fh:
+        fh.write(f"n {g.n}\n".encode("ascii"))
+        fh.write(_edge_lines(g.edge_array))
+
+
+def _edge_lines(edges: np.ndarray) -> bytes:
+    """``b"i j\\n"`` for every row of a nonnegative ``m x 2`` integer array.
+
+    The decimal digits of all endpoints are written into one byte buffer at
+    once, so the cost is a few array passes rather than one Python-level
+    write per edge.
+    """
+    flat = edges.ravel()
+    if not flat.size:
+        return b""
+    ndigits = np.ones(flat.size, dtype=np.int64)
+    for d in range(1, len(str(int(flat.max())))):
+        ndigits += flat >= 10**d
+    ends = np.cumsum(ndigits + 1)        # every number ends in a separator
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    buf[ends - 1] = np.tile(np.frombuffer(b" \n", dtype=np.uint8), edges.shape[0])
+    for d in range(int(ndigits.max())):  # digit d, counted from the right
+        has = np.nonzero(ndigits > d)[0]
+        buf[ends[has] - 2 - d] = ord("0") + flat[has] // 10**d % 10
+    return buf.tobytes()

@@ -326,6 +326,17 @@ class TestEdgeList:
         h = gsp.read_edge_list(p)
         assert h == g
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 1000, 123457])
+    def test_bytes_match_per_line_format(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        e = rng.integers(0, n, size=(300, 2))
+        g = gsp.Graph(n, e[e[:, 0] != e[:, 1]])
+        p = tmp_path / "g.txt"
+        gsp.write_edge_list(g, p)
+        lines = [f"n {n}\n"] + [f"{i} {j}\n" for i, j in g.edge_array.tolist()]
+        assert p.read_bytes() == "".join(lines).encode("ascii")
+        assert gsp.read_edge_list(p) == g
+
     def test_comments_dedupe_and_maxid(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("# a comment\n1 0\n0 1\n2 4\n", encoding="utf-8")
