@@ -54,7 +54,6 @@ class RunConfig:
     tail_from: int = 5
     window: int = 5
     edge_scale: str = "2E"
-    eig_tol: float = 1e-8
     fit_degree: int = 2
     top_degree_fraction: float = 0.10
     trajectory_points: int = 10

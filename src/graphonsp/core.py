@@ -196,6 +196,15 @@ class _StepBase:
     def _check_bound(self):
         raise NotImplementedError
 
+    def _with_support(self, t: float):
+        """The same validated, read-only values on ``[0, t]^2``, not re-checked."""
+        if not (t > 0):
+            raise ValueError("support length t must be positive")
+        out = object.__new__(type(self))
+        out.k, out.t = self.k, float(t)
+        out.values, out.value_bound = self.values, self.value_bound
+        return out
+
     @property
     def cell_width(self) -> float:
         return self.t / self.k
@@ -469,10 +478,8 @@ def stretch(w: GraphonSpec) -> tuple[GraphonSpec, StretchTag]:
     if l1 <= 0.0:
         raise ZeroGraphonError("cannot stretch a graphon with zero 1-norm")
     r = math.sqrt(l1)
-    if isinstance(w, StepGraphon):
-        return StepGraphon(w.values, w.t / r, w.value_bound), StretchTag(r, w.t)
-    if isinstance(w, SignedStepGraphon):
-        return SignedStepGraphon(w.values, w.t / r, w.value_bound), StretchTag(r, w.t)
+    if isinstance(w, _StepBase):
+        return w._with_support(w.t / r), StretchTag(r, w.t)
     if isinstance(w, ConstantBox):
         return ConstantBox(w.p, w.s / r), StretchTag(r, w.s)
     if isinstance(w, RankOneExp):
@@ -487,7 +494,7 @@ def unstretch_step(w: _StepBase, tag: StretchTag) -> _StepBase:
     """Undo a stretch on a step graphon, restoring the original support."""
     if tag.original_support is None:
         raise ValueError("tag does not record the original support")
-    return type(w)(w.values, tag.original_support, w.value_bound)
+    return w._with_support(tag.original_support)
 
 
 def stretch_signal(f: StepSignal, r: float) -> StepSignal:

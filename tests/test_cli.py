@@ -151,8 +151,10 @@ class TestMainEntry:
         ("cutdist-exact", '{"seed": "7"}', "seed"),
         ("sample", '{"t_schedule": [1.0, NaN]}', "t_schedule"),
         ("cutdist-spec", None, "'p'"),
+        ("sample", '{"eig_tol": 1e-8}', "unknown config keys: ['eig_tol']"),
     ], ids=["sample-seed-string", "cutdist-union-seed-string",
-            "cutdist-exact-seed-string", "sample-nan-schedule", "spec-without-value"])
+            "cutdist-exact-seed-string", "sample-nan-schedule", "spec-without-value",
+            "sample-removed-eig-tol"])
     def test_bad_input_gives_one_json_error(self, tmp_path, capsys, command,
                                             config, key):
         argv = {

@@ -205,6 +205,37 @@ class TestStretch:
             ws, _ = gsp.stretch(w) if w.l1_norm > 0 else (w, None)
             assert np.array_equal(ws.values, ws.values.T)
 
+    def test_stretch_reuses_validated_values(self, monkeypatch):
+        kernels = [random_step_graphon(3, signed=signed) for signed in (False, True)]
+
+        def recheck(*args):
+            raise AssertionError("validated values checked again")
+
+        monkeypatch.setattr(np, "array_equal", recheck)
+        for w in kernels:
+            monkeypatch.setattr(type(w), "_check_bound", recheck)
+            ws, tag = gsp.stretch(w)
+            assert type(ws) is type(w)
+            assert ws.values is w.values and not ws.values.flags.writeable
+            assert ws.value_bound == w.value_bound
+            back = gsp.unstretch_step(ws, tag)
+            assert back.values is w.values and back.t == w.t
+
+    def test_construction_still_validates(self):
+        asym = np.array([[0.0, 0.5], [0.25, 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            gsp.StepGraphon(asym, 1.0, 1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            gsp.SignedStepGraphon(asym, 1.0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            gsp.StepGraphon(np.array([[-0.1]]), 1.0, 1.0)
+        with pytest.raises(ValueError, match="bound"):
+            gsp.StepGraphon(np.array([[0.9]]), 1.0, 0.5)
+        with pytest.raises(ValueError, match="bound"):
+            gsp.SignedStepGraphon(np.array([[-0.9]]), 1.0, 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            gsp.StepGraphon(np.array([[0.5]]), 0.0, 1.0)
+
 
 class TestStretchSignal:
     def test_identity(self):

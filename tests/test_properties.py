@@ -1,0 +1,52 @@
+"""Property tests of the cut norm on small random signed step kernels."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import graphonsp as gsp  # noqa: E402
+
+from helpers import brute_force_cut_norm  # noqa: E402
+
+# derandomized and without an example database: tier-1 stays reproducible
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def signed_step_kernels(draw, kmax=8):
+    k = draw(st.integers(1, kmax))
+    t = draw(st.floats(0.2, 5.0))
+    upper = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * (k + 1) // 2,
+                          max_size=k * (k + 1) // 2))
+    v = np.zeros((k, k))
+    v[np.triu_indices(k)] = upper
+    v = np.triu(v, 1).T + v
+    return gsp.SignedStepGraphon(v, t, 1.0)
+
+
+def close_or_below(a, b):
+    return a <= b + 1e-12 * max(1.0, abs(b))
+
+
+@PROPERTY
+@given(w=signed_step_kernels(), seed=st.integers(0, 2**16))
+def test_heuristic_never_exceeds_exact(w, seed):
+    exact = gsp.cut_norm(w, mode="exact").value
+    heur = gsp.cut_norm(w, mode="heuristic", restarts=4, seed=seed).value
+    assert close_or_below(heur, exact)
+
+
+@PROPERTY
+@given(w=signed_step_kernels())
+def test_exact_matches_brute_force(w):
+    assert gsp.cut_norm(w, mode="exact").value == pytest.approx(
+        brute_force_cut_norm(w), rel=1e-12, abs=1e-15)
+
+
+@PROPERTY
+@given(w=signed_step_kernels())
+def test_cut_norm_below_l1(w):
+    assert close_or_below(gsp.cut_norm(w, mode="exact").value, w.l1_norm)

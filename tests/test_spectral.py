@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import graphonsp as gsp
-from graphonsp.errors import GraphonError
+from graphonsp import spectral
+from graphonsp.errors import EigenConvergenceError, GraphonError
 from graphonsp.rng import substream
 
 
@@ -82,6 +84,59 @@ class TestEigensolve:
         with pytest.raises(ValueError):
             gsp.eigensolve(np.zeros((3, 3)), k_pos=0, k_neg=0)
 
+    @pytest.mark.parametrize("k_pos, k_neg", [(3, 0), (0, 2), (1, 4)])
+    def test_uneven_ends_on_iterative_path(self, k_pos, k_neg):
+        dim = 400
+        assert dim > spectral.DENSE_THRESHOLD
+        a = random_sparse_symmetric(7, dim)
+        dense_vals = scipy.linalg.eigh(a.toarray(), eigvals_only=True)
+        rep = gsp.eigensolve(a, k_pos=k_pos, k_neg=k_neg, vectors=True, seed=3)
+        assert rep.positive.shape == rep.residual_pos.shape == (k_pos,)
+        assert rep.negative.shape == rep.residual_neg.shape == (k_neg,)
+        assert rep.vectors_pos.shape == (dim, k_pos)
+        assert rep.vectors_neg.shape == (dim, k_neg)
+        scale = abs(dense_vals).max()
+        assert np.allclose(rep.positive, dense_vals[::-1][:k_pos], atol=1e-10 * scale)
+        assert np.allclose(rep.negative, dense_vals[:k_neg], atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("dim, k_pos, k_neg", [(5, 3, 0), (4, 2, 2), (6, 1, 3)])
+    def test_request_wider_than_arpack_falls_back_to_dense(self, monkeypatch, dim,
+                                                          k_pos, k_neg):
+        # eigsh needs k = 2 max(k_pos, k_neg) < dim; wider requests go dense
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("eigsh called for k >= dim")
+
+        monkeypatch.setattr(spla, "eigsh", no_eigsh)
+        a = random_sparse_symmetric(dim, dim, density=0.5).toarray()
+        vals = np.linalg.eigvalsh(a)
+        rep = gsp.eigensolve(a, k_pos=k_pos, k_neg=k_neg, dense_threshold=0)
+        assert np.allclose(rep.positive, vals[::-1][:k_pos], atol=1e-12)
+        assert np.allclose(rep.negative, vals[:k_neg], atol=1e-12)
+
+    @pytest.mark.parametrize("dim, threshold", [(50, 256), (300, 0)],
+                             ids=["dense", "iterative"])
+    def test_unreachable_tolerance_reports_residuals(self, dim, threshold):
+        a = random_sparse_symmetric(11, dim)
+        with pytest.raises(EigenConvergenceError) as info:
+            gsp.eigensolve(a, k_pos=2, k_neg=1, tol=0.0, dense_threshold=threshold)
+        res = info.value.residuals
+        assert res.shape == (3,) and np.all(res > 0.0)
+
+    def test_arpack_failure_becomes_convergence_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                           np.zeros((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        with pytest.raises(EigenConvergenceError, match="ARPACK"):
+            gsp.eigensolve(random_sparse_symmetric(2, 100), dense_threshold=0)
+
+    def test_iterative_path_is_bit_identical_per_seed(self):
+        a = random_sparse_symmetric(5, 500)
+        reps = [gsp.eigensolve(a, k_pos=3, k_neg=3, seed=9) for _ in range(2)]
+        assert np.array_equal(reps[0].positive, reps[1].positive)
+        assert np.array_equal(reps[0].negative, reps[1].negative)
+
 
 class TestScaledSpectrum:
     def test_complete_graph_ratio(self):
@@ -134,6 +189,21 @@ class TestTrajectory:
     def test_empty_graph_errors(self):
         with pytest.raises(GraphonError):
             gsp.trajectory([gsp.Graph(0, [])], [1])
+
+    @pytest.mark.parametrize("g", [complete_graph(3),
+                                   gsp.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])],
+                             ids=["K3", "four-vertex"])
+    def test_graph_smaller_than_both_ends(self, g):
+        # the ends overlap: each t-th eigenvalue from its end, 0 beyond n
+        t_set = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
+        lams = gsp.trajectory([g], t_set)[0].eigenvalues
+        vals = np.linalg.eigvalsh(g.adjacency(sparse=False))
+        for t in t_set:
+            if abs(t) > g.n:
+                assert lams[t] == 0.0
+            else:
+                expect = vals[-t] if t > 0 else vals[-t - 1]
+                assert lams[t] == pytest.approx(expect, abs=1e-12)
 
 
 class TestFitModels:
