@@ -544,39 +544,20 @@ def normalized_graphon(g: Graph) -> StepGraphon:
 # restriction / discretization
 # ---------------------------------------------------------------------------
 
-def _rational_ratio(num: float, den: float, max_den: int) -> Fraction | None:
-    """Fraction p/q ~= num/den when that ratio is (near-)rational, else None."""
-    ratio = num / den
-    frac = Fraction(ratio).limit_denominator(max_den)
-    if frac.numerator <= 0:
-        return None
-    if abs(ratio - float(frac)) <= 1e-9 * max(1.0, ratio):
-        return frac
-    return None
-
-
 def restrict(w: GraphonSpec, t_m: float, resolution: int | None = None) -> StepGraphon:
     """Restrict ``W`` to ``[0, t_m]^2`` and rescale onto ``[0, 1]^2``.
 
-    For step inputs whose grid is commensurable with ``t_m`` the result is an
-    exact sub-grid extraction; analytic inputs (and incommensurable step
+    For step inputs whose grid is exactly commensurable with ``t_m`` the
+    result is an exact sub-grid extraction; analytic inputs (and other step
     inputs) are midpoint-sampled on a ``resolution``-cell grid, which must
     then be supplied explicitly.
     """
     if not (t_m > 0):
         raise ValueError("t_m must be positive")
     if isinstance(w, _StepBase):
-        frac = _rational_ratio(t_m, w.cell_width, 4096)
-        if frac is not None and frac.numerator <= _MAX_REFINE_CELLS:
-            k_new = frac.numerator  # cell width t_m / p equals cell_width / q
-            mids = (np.arange(k_new) + 0.5) * (t_m / k_new)
-            src = np.floor(mids / w.cell_width).astype(np.int64)
-            inside = (mids <= w.t) & (src < w.k)
-            vals = np.zeros((k_new, k_new))
-            ii = np.nonzero(inside)[0]
-            if ii.size:
-                vals[np.ix_(ii, ii)] = w.values[np.ix_(src[ii], src[ii])]
-            return StepGraphon(vals, 1.0, w.value_bound)
+        k = _refinement(t_m, w)
+        if k is not None:  # exact sub-grid extraction
+            return StepGraphon(_on_uniform(w, k, t_m), 1.0, w.value_bound)
         # fall through to midpoint sampling
     if resolution is None:
         raise ValueError("a discretization resolution is required for this input")
@@ -641,6 +622,35 @@ def union_grid(a: _StepBase, b: _StepBase):
     return np.diff(bp), _cell_index(a, mids), _cell_index(b, mids)
 
 
+def _refinement(span: float, *grids) -> int | None:
+    """Cells of the coarsest uniform grid on ``[0, span]`` refining every grid.
+
+    Each grid is a step object (support ``t``, ``k`` cells).  The new cell
+    width is the exact gcd of ``span`` and every ``Fraction(t) / k``, with
+    no tolerance; ``None`` when it needs over ``_MAX_REFINE_CELLS`` cells.
+    """
+    widths = [Fraction(span)] + [Fraction(g.t) / g.k for g in grids]
+    den = math.lcm(*(w.denominator for w in widths))
+    nums = [w.numerator * (den // w.denominator) for w in widths]
+    k = nums[0] // math.gcd(*nums)
+    return k if k <= _MAX_REFINE_CELLS else None
+
+
+def _on_uniform(w, k: int, span: float) -> np.ndarray:
+    """Values of a step graphon or signal on the ``k``-cell grid over ``[0, span]``.
+
+    Each new cell reads the cell of ``w`` under its midpoint (zero beyond
+    ``w``'s support), which is exact when the new grid refines ``w``'s;
+    ``w.values`` comes back untouched when ``w`` already sits on that grid.
+    """
+    if w.k == k and w.t == span:
+        return w.values
+    idx = _cell_index(w, (np.arange(k) + 0.5) * (span / k))
+    if w.values.ndim == 1:
+        return np.where(idx >= 0, w.values[idx], 0.0)
+    return _lookup(w.values, idx, idx)
+
+
 def _cell_index(w: _StepBase, mids: np.ndarray) -> np.ndarray:
     """Cell of ``w`` containing each midpoint, ``-1`` outside ``[0, t]``."""
     idx = np.floor(mids / w.cell_width).astype(np.int64)
@@ -672,25 +682,18 @@ def step_difference(a: _StepBase, b: _StepBase,
                     resolution: int | None = None) -> SignedStepGraphon:
     """Difference ``a - b`` as a signed step graphon on a uniform grid.
 
-    Exact when the two grids share a rational common refinement; otherwise
-    midpoint-resampled at ``resolution`` cells (which must be supplied).
+    Exact when the two grids share a uniform refinement (see
+    :func:`_refinement`); otherwise midpoint-resampled at ``resolution``
+    cells, which must then be supplied.
     """
     T = max(a.t, b.t)
-    k_new = resolution
-    frac = _rational_ratio(a.cell_width, b.cell_width, 4096)
-    if frac is not None:
-        width = a.cell_width / frac.numerator  # == b.cell_width / frac.denominator
-        k_exact = int(round(T / width))
-        if k_exact <= _MAX_REFINE_CELLS and abs(k_exact * width - T) <= 1e-9 * T:
-            k_new = k_exact
-    if k_new is None:
+    k = _refinement(T, a, b) or resolution
+    if k is None:
         raise SupportMismatchError(
-            "grids share no rational refinement; pass a resolution to resample")
-    mids = (np.arange(k_new) + 0.5) * (T / k_new)
-    ia, ib = _cell_index(a, mids), _cell_index(b, mids)
-    va, vb = _lookup(a.values, ia, ia), _lookup(b.values, ib, ib)
+            "grids share no uniform refinement; pass a resolution to resample")
     bound = a.value_bound + b.value_bound
-    return SignedStepGraphon(va - vb, T, bound if bound > 0 else 1.0)
+    return SignedStepGraphon(_on_uniform(a, k, T) - _on_uniform(b, k, T), T,
+                             bound if bound > 0 else 1.0)
 
 
 def l1_distance(a: _StepBase, b: _StepBase) -> float:

@@ -11,7 +11,6 @@ exceeds the exact value.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,24 +242,6 @@ def _union_cut(kernel: _UnionKernel, exact: bool, restarts: int, seed: int) -> C
 # cut distance between equal-support step graphons
 # ---------------------------------------------------------------------------
 
-def _refine_uniform(w, factor: int):
-    if factor == 1:
-        return w
-    v = np.repeat(np.repeat(w.values, factor, axis=0), factor, axis=1)
-    return type(w)(v, w.t, w.value_bound)
-
-
-def _common_resolution(w1, w2):
-    """Bring two equal-support step graphons onto one uniform grid."""
-    if not math.isclose(w1.t, w2.t, rel_tol=1e-12, abs_tol=0.0):
-        raise SupportMismatchError(
-            f"supports differ: {w1.t!r} vs {w2.t!r}; refine or pad first")
-    k = math.lcm(w1.k, w2.k)
-    if k > core._MAX_REFINE_CELLS:
-        raise ResolutionTooLargeError(f"common refinement needs {k} cells")
-    return _refine_uniform(w1, k // w1.k), _refine_uniform(w2, k // w2.k)
-
-
 def _permute(values: np.ndarray, perm) -> np.ndarray:
     p = np.asarray(perm)
     return values[np.ix_(p, p)]
@@ -281,12 +262,18 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
     mode also evaluates the identity alignment, so the result never exceeds
     the unaligned cut norm.
     """
-    a, b = _common_resolution(w1, w2)
-    k = a.k
-    bound = a.value_bound + b.value_bound
+    if w1.t != w2.t:
+        raise SupportMismatchError(
+            f"supports differ: {w1.t!r} vs {w2.t!r}; refine or pad first")
+    k = core._refinement(w1.t, w1, w2)
+    if k is None:
+        raise ResolutionTooLargeError(
+            f"common refinement of {w1.k} and {w2.k} cells is too large")
+    va, vb = core._on_uniform(w1, k, w1.t), core._on_uniform(w2, k, w1.t)
+    bound = w1.value_bound + w2.value_bound
 
     def diff(perm):
-        return SignedStepGraphon(_permute(a.values, perm) - b.values, a.t,
+        return SignedStepGraphon(_permute(va, perm) - vb, w1.t,
                                  bound if bound > 0 else 1.0)
 
     if mode == "exact":
@@ -310,8 +297,8 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
         return cut_norm(diff(perm), mode=cut_mode, restarts=restarts, seed=seed)
 
     identity = np.arange(k)
-    p1 = _degree_sort_perm(a.values)
-    p2 = _degree_sort_perm(b.values)
+    p1 = _degree_sort_perm(va)
+    p2 = _degree_sort_perm(vb)
     # align sorted orders: new frame is w2's; w1 cell order chased through w2's
     rank2 = np.empty(k, dtype=np.int64)
     rank2[p2] = np.arange(k)
@@ -346,36 +333,19 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
 # stretched cut distance for general graphon specs
 # ---------------------------------------------------------------------------
 
-def _zero_pad(w, T: float):
-    """Extend the support of a step graphon to ``[0, T]`` with zero cells.
-
-    Returns ``None`` when ``T`` is not a whole number of cells away, in
-    which case the caller falls back to the nonuniform union grid.
-    """
-    if math.isclose(w.t, T, rel_tol=1e-12):
-        return w
-    k_new = int(round(T / w.cell_width))
-    if k_new < w.k or k_new > core._MAX_REFINE_CELLS:
-        return None
-    if not math.isclose(k_new * w.cell_width, T, rel_tol=1e-9, abs_tol=0.0):
-        return None
-    v = np.zeros((k_new, k_new))
-    v[: w.k, : w.k] = w.values
-    return type(w)(v, T, w.value_bound)
-
-
 def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree_sort",
                            resolution: int | None = None, iters: int = 2,
                            restarts: int = 64, seed: int = 0) -> AlignmentResult:
     """Cut distance between the stretched versions of two graphons.
 
-    Both inputs are stretched to unit 1-norm, placed on a common grid over
-    ``[0, max(t1, t2)]`` (zero-padding the shorter support) and compared with
-    :func:`cut_distance_steps`.  When the two grids are incommensurable the
-    difference is applied exactly, as an implicit operator, on the
-    nonuniform union grid.  Only the identity alignment and (outside exact
-    mode) both inputs sorted by degree are evaluated, an upper bound on the
-    relabeled distance; the result is then flagged ``exact=False``.
+    Both inputs are stretched to unit 1-norm.  When their grids share a
+    uniform refinement of ``[0, max(t1, t2)]`` (see ``core._refinement``),
+    both are lifted onto it, zero beyond the shorter support, and compared
+    with :func:`cut_distance_steps`.  Otherwise the difference is applied
+    exactly, as an implicit operator, on the nonuniform union grid; there
+    only the identity alignment and (outside exact mode) both inputs sorted
+    by degree are evaluated, an upper bound on the relabeled distance, and
+    the result is flagged ``exact=False``.
     """
     s1, _ = stretch(_to_spec(w1))
     s2, _ = stretch(_to_spec(w2))
@@ -383,14 +353,15 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     b = core.as_step(s2, resolution=resolution)
 
     T = max(a.t, b.t)
-    pa = _zero_pad(a, T)
-    pb = _zero_pad(b, T)
-    if pa is not None and pb is not None:
+    k = core._refinement(T, a, b)
+    if k is not None:
+        pa, pb = (StepGraphon(core._on_uniform(w, k, T), T, w.value_bound)
+                  for w in (a, b))
         try:
             return cut_distance_steps(pa, pb, mode=mode, iters=iters,
                                       restarts=restarts, seed=seed)
         except ResolutionTooLargeError:
-            pass  # fall through to the nonuniform path
+            pass  # exact alignment needs k <= 8: fall through to the union grid
 
     # each input's own cells are equal-measure, so sorting them by row sum
     # is a valid relabeling even though the union grid is nonuniform

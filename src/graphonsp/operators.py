@@ -8,7 +8,6 @@ rank-one exponential family keeps its closed-form action ``T f = g <g, f>``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,31 +129,17 @@ def apply(op: GraphonOperator, f: StepSignal) -> StepSignal:
 
 
 def _combine(a: StepSignal, ca: float, b: StepSignal, cb: float) -> StepSignal:
-    """``ca * a + cb * b`` on an exact common uniform grid.
+    """``ca * a + cb * b`` on the coarsest exact common uniform grid.
 
-    Grids must share a rational refinement (always true when one signal was
-    produced by applying the operator to the other); the shorter support is
-    zero-padded.
+    The grids must share a uniform refinement (always true when one signal
+    was produced by applying the operator to the other); the shorter support
+    is zero-padded.
     """
-    from fractions import Fraction
-
-    if math.isclose(a.t, b.t, rel_tol=1e-12) and a.k == b.k:
-        return StepSignal(ca * a.values + cb * b.values, a.t)
     T = max(a.t, b.t)
-    frac = Fraction(a.cell_width / b.cell_width).limit_denominator(4096)
-    width = a.cell_width / frac.numerator
-    k_new = int(round(T / width))
-    if (frac.numerator <= 0 or k_new > core._MAX_REFINE_CELLS
-            or not math.isclose(k_new * width, T, rel_tol=1e-9)):
-        raise StepRequiredError("signal grids share no rational refinement")
-
-    def lift(s: StepSignal) -> np.ndarray:
-        rep = int(round(s.cell_width / width))
-        out = np.zeros(k_new)
-        out[: s.k * rep] = np.repeat(s.values, rep)
-        return out
-
-    return StepSignal(ca * lift(a) + cb * lift(b), T)
+    k = core._refinement(T, a, b)
+    if k is None:
+        raise StepRequiredError("signal grids share no uniform refinement")
+    return StepSignal(ca * core._on_uniform(a, k, T) + cb * core._on_uniform(b, k, T), T)
 
 
 def apply_polynomial(p: "PolynomialFilter", op: GraphonOperator,
@@ -265,23 +250,14 @@ def apply_spectral(h: SpectralFilter, op: GraphonOperator, f: StepSignal,
     edges = np.arange(k.k + 1) * h_cell
     fbar = _cell_integrals(f, edges) / h_cell   # cell means on the operator grid
 
-    full = 2 * k_eigs >= k.k
-    if full:
-        vals, vecs = np.linalg.eigh(K)
-        coef = h.eval(vals) * (vecs.T @ fbar)
-        out = vecs @ coef
-        tail = 0.0
-    else:
-        rep = spectral.eigensolve(K, k_pos=k_eigs, k_neg=k_eigs, tol=tol,
-                                  vectors=True, seed=seed)
-        out = np.zeros(k.k)
-        for vals, vecs in ((rep.positive, rep.vectors_pos),
-                           (rep.negative, rep.vectors_neg)):
-            coef = h.eval(vals) * (vecs.T @ fbar)
-            out += vecs @ coef
-        lo = float(rep.negative[-1]) if k_eigs else 0.0
-        hi = float(rep.positive[-1]) if k_eigs else 0.0
-        tail = h.max_abs_on(lo, hi) * f.l2_norm
+    kn = min(k_eigs, k.k - k_eigs)   # the two ends never share an eigenvalue
+    rep = spectral.eigensolve(K, k_pos=k_eigs, k_neg=kn, tol=tol, vectors=True, seed=seed)
+    out = np.zeros(k.k)
+    for vals, vecs in ((rep.positive, rep.vectors_pos), (rep.negative, rep.vectors_neg)):
+        out += vecs @ (h.eval(vals) * (vecs.T @ fbar))
+    tail = 0.0
+    if k_eigs + kn < k.k:   # the discarded eigenvalues lie between the two ends
+        tail = h.max_abs_on(float(rep.negative[-1]), float(rep.positive[-1])) * f.l2_norm
     return StepSignal(out, k.t), float(tail)
 
 

@@ -131,26 +131,21 @@ def eigensolve(obj, k_pos: int = 1, k_neg: int = 1, tol: float = 1e-8,
 
 
 def scaled_spectrum(g: Graph, t_range) -> dict:
-    """Eigenvalues scaled by ``sqrt(2 |E|)``, for indices ``t`` in Z \\ {0}."""
+    """Eigenvalues scaled by ``sqrt(2 |E|)``, for indices ``t`` in Z \\ {0}.
+
+    Indices beyond the vertex count read ``0.0``, as in :func:`trajectory`.
+    """
     if g.edge_count == 0:
         raise GraphonError("scaled spectrum needs at least one edge")
-    t_range = [int(t) for t in t_range]
-    if any(t == 0 for t in t_range):
-        raise ValueError("t = 0 is not a valid eigenvalue index")
-    k_pos = max([t for t in t_range if t > 0], default=0)
-    k_neg = max([-t for t in t_range if t < 0], default=0)
-    rep = eigensolve(g, k_pos=k_pos, k_neg=k_neg)
     scale = math.sqrt(2.0 * g.edge_count)
-    out = {}
-    for t in t_range:
-        lam = rep.positive[t - 1] if t > 0 else rep.negative[-t - 1]
-        out[t] = float(lam) / scale
-    return out
+    return {t: lam / scale for t, lam in trajectory([g], t_range)[0].eigenvalues.items()}
 
 
 def trajectory(graphs, t_set) -> list:
     """Tracked eigenvalues along a graph sequence."""
     t_set = [int(t) for t in t_set]
+    if 0 in t_set:
+        raise ValueError("t = 0 is not a valid eigenvalue index")
     k_pos = max([t for t in t_set if t > 0], default=0)
     k_neg = max([-t for t in t_set if t < 0], default=0)
     points = []

@@ -177,6 +177,16 @@ class TestMainEntry:
         if command == "cutdist-spec":
             assert "key=value" in err["message"]
 
+    def test_spectra_t_zero_gives_one_json_error(self, tmp_path, capsys):
+        argv = ["spectra", str(small_graph_file(tmp_path)), "--out", str(tmp_path / "out"),
+                "--config", str(write_config(tmp_path, t_set=[0, 1], growth_batch=50,
+                                             growth_steps=4, tail_from=1, window=2))]
+        assert main(argv) != 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": "t = 0 is not a valid eigenvalue index"}
+
     def test_mode_flag_overrides_config(self, tmp_path):
         out = tmp_path / "cd"
         rc = main(["cutdist", "celebrity", "celebrity", "--out", str(out),

@@ -5,10 +5,12 @@ import pytest
 import scipy.integrate
 
 import graphonsp as gsp
+from graphonsp import core
 from graphonsp.errors import (
     EmptyGraphError,
     IsolatedVertexError,
     StepRequiredError,
+    SupportMismatchError,
     ZeroGraphonError,
 )
 from graphonsp.rng import substream
@@ -340,6 +342,25 @@ class TestSignedDifference:
         b = gsp.StepGraphon(np.array([[1.0]]), 1.0, 1.0)
         d = gsp.l1_distance(a, b)
         assert d == pytest.approx(2.0 - 1.0, rel=1e-12)  # area difference
+
+    def test_near_equal_supports_need_a_resolution(self):
+        # 0.999 * (1 + 4e-10) is no exact multiple of a 1/1000 grid on [0, 1]
+        a = gsp.StepGraphon(np.array([[1.0]]), 1.0, 1.0)
+        b = gsp.StepGraphon(np.array([[1.0]]), 0.999 * (1 + 4e-10), 1.0)
+        with pytest.raises(SupportMismatchError):
+            gsp.step_difference(a, b)
+        assert gsp.step_difference(a, b, resolution=1000).k == 1000
+
+    def test_refinement_of_exact_multiples(self):
+        # 0.75 is not a whole number of half cells, but both grids refine to
+        # quarters of [0, 1]
+        a = gsp.StepGraphon(np.ones((2, 2)), 1.0, 1.0)
+        b = gsp.StepGraphon(np.ones((1, 1)), 0.75, 1.0)
+        assert core._refinement(1.0, a, b) == 4
+        d = gsp.step_difference(a, b)
+        assert d.k == 4
+        assert np.array_equal(d.values, np.pad(np.zeros((3, 3)), (0, 1),
+                                               constant_values=1.0))
 
     def test_l1_distance_matches_direct(self):
         a = random_step_graphon(11, k=3, t=1.5)

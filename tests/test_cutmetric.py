@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,15 @@ class TestCutDistance:
         with pytest.raises(SupportMismatchError):
             gsp.cut_distance_steps(a, b)
 
+    def test_float_close_supports_are_a_mismatch(self):
+        # the same values on supports 5e-13 apart are 5e-13 apart in l1
+        v = np.array([[1.0, 0.5], [0.5, 0.0]])
+        a = gsp.StepGraphon(v, 1.0, 1.0)
+        b = gsp.StepGraphon(v, 1.0 + 5e-13, 1.0)
+        assert gsp.l1_distance(a, b) > 0.0
+        with pytest.raises(SupportMismatchError):
+            gsp.cut_distance_steps(a, b, mode="exact")
+
     def test_exact_size_limit(self):
         a = random_step_graphon(1, k=9, t=1.0)
         b = random_step_graphon(2, k=9, t=1.0)
@@ -216,6 +226,20 @@ class TestStretchedCutDistance:
                                          mode="exact")
         assert res.distance == pytest.approx(0.75, abs=1e-12)
         assert res.exact
+
+    def test_exact_multiples_take_the_uniform_path(self):
+        # unit 1-norm, so stretching keeps both supports; the 0.5 box is not a
+        # whole number of cells of [0, 0.75], yet both refine to 3 quarters
+        a = gsp.StepGraphon(np.array([[4.0]]), 0.5, 4.0)
+        b = gsp.StepGraphon(np.array([[4.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                                      [0.0, 0.0, 4.0]]), 0.75, 4.0)
+        res = gsp.stretched_cut_distance(a, b, mode="exact")
+        assert res.exact and res.permutation is not None
+        lifted = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+        oracle = min(brute_force_cut_norm(gsp.SignedStepGraphon(
+            lifted[np.ix_(p, p)] - b.values, 0.75, 8.0))
+            for p in itertools.permutations(range(3)))
+        assert res.distance == pytest.approx(oracle, abs=1e-15)
 
     def test_zero_graphon_errors(self):
         from graphonsp.errors import ZeroGraphonError

@@ -162,6 +162,24 @@ class TestPolynomialFilter:
         assert np.allclose(out.values, np.ones(3) + 2.0 * (K @ np.ones(3)),
                            atol=1e-14)
 
+    def test_constant_term_on_a_half_support_signal(self):
+        # thirds and halves of the operator support refine to sixths; the
+        # signal is zero beyond its own support
+        w = gsp.canonical_graphon(gsp.Graph(3, [(0, 1), (0, 2), (1, 2)]))
+        op = gsp.GraphonOperator.from_spec(w)
+        f = gsp.StepSignal(np.ones(1), op.kernel.t / 2)
+        out = gsp.apply_polynomial(gsp.PolynomialFilter((1.0, 2.0)), op, f)
+        assert out.k == 6 and out.t == op.kernel.t
+        tail = np.repeat(2.0 * gsp.apply(op, f).values, 2)
+        assert np.array_equal(out.values, tail + np.repeat([1.0, 0.0], 3))
+
+    def test_incommensurable_signal_grid_is_rejected(self):
+        w = gsp.canonical_graphon(gsp.Graph(3, [(0, 1), (0, 2), (1, 2)]))
+        op = gsp.GraphonOperator.from_spec(w)
+        f = gsp.StepSignal(np.ones(1), op.kernel.t / math.pi)
+        with pytest.raises(StepRequiredError):
+            gsp.apply_polynomial(gsp.PolynomialFilter((1.0, 0.0)), op, f)
+
     def test_degree_and_eval(self):
         p = gsp.PolynomialFilter((1.0, 0.0, 3.0))
         assert p.degree == 2

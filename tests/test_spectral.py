@@ -162,6 +162,15 @@ class TestScaledSpectrum:
         with pytest.raises(ValueError):
             gsp.scaled_spectrum(complete_graph(3), [0, 1])
 
+    @pytest.mark.parametrize("t_range", [[1, 2, 3, -1, -2, -3], [4]])
+    def test_graph_smaller_than_both_ends(self, t_range):
+        g = complete_graph(3)
+        out = gsp.scaled_spectrum(g, t_range)
+        vals = np.linalg.eigvalsh(g.adjacency(sparse=False)) / math.sqrt(6.0)
+        for t in t_range:
+            expect = 0.0 if abs(t) > 3 else (vals[-t] if t > 0 else vals[-t - 1])
+            assert out[t] == pytest.approx(expect, abs=1e-12)
+
 
 class TestTrajectory:
     def test_constant_sequence(self):
@@ -189,6 +198,11 @@ class TestTrajectory:
     def test_empty_graph_errors(self):
         with pytest.raises(GraphonError):
             gsp.trajectory([gsp.Graph(0, [])], [1])
+
+    @pytest.mark.parametrize("t_set", [[0, 1], [0, 1, -1]])
+    def test_t_zero_rejected(self, t_set):
+        with pytest.raises(ValueError, match="t = 0 is not a valid eigenvalue index"):
+            gsp.trajectory([complete_graph(3)], t_set)
 
     @pytest.mark.parametrize("g", [complete_graph(3),
                                    gsp.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])],
