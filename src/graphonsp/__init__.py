@@ -13,6 +13,8 @@ norms and distances (:mod:`.cutmetric`), graph/signal samplers
 filter-coefficient regression (:mod:`.filterfit`), and a CLI (:mod:`.cli`).
 """
 
+import logging
+
 from .core import (
     CelebrityLimit,
     ConstantBox,
@@ -90,3 +92,6 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+# a library logs to "graphonsp" and leaves handlers to the application
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -588,6 +588,8 @@ def as_step(w: GraphonSpec, resolution: int | None = None,
         if resolution is None:
             raise StepRequiredError(
                 "RankOneExp has no exact step form; pass a resolution")
+        if resolution < 1:
+            raise ValueError("resolution must be at least 1")
         t_cut = support if support is not None else 40.0 / w.lam
         mids = (np.arange(resolution) + 0.5) * (t_cut / resolution)
         g = w.profile(mids)

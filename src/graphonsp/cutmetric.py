@@ -11,6 +11,7 @@ exceeds the exact value.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,12 +133,13 @@ def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
     contribution are excluded, which makes the iteration deterministic
     given the seed.  The first column of largest value wins.
     """
-    R = max(1, restarts)
-    T = np.repeat(rng.random((R, k)) < 0.5, 2, axis=0).T.copy()
-    sign = np.tile([1.0, -1.0], R)
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    T = np.repeat(rng.random((restarts, k)) < 0.5, 2, axis=0).T.copy()
+    sign = np.tile([1.0, -1.0], restarts)
     S = np.zeros(T.shape, dtype=bool)
     MS = np.zeros(T.shape)
-    active = np.arange(2 * R)
+    active = np.arange(2 * restarts)
     for _ in range(100):
         if not active.size:
             break
@@ -262,6 +264,8 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
     mode also evaluates the identity alignment, so the result never exceeds
     the unaligned cut norm.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     if w1.t != w2.t:
         raise SupportMismatchError(
             f"supports differ: {w1.t!r} vs {w2.t!r}; refine or pad first")
@@ -308,21 +312,48 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
     best_cut, best_perm = min(candidates, key=lambda cp: cp[0].value)
 
     if mode == "local_search":
+        # Rounding bound m, with u = eps/2 and A = sum|va| + sum|vb|, which
+        # bounds the |entries| of every trial kernel M.  A value is _evaluate
+        # at a witness: a sum of <= k^2 terms, in any order, times area, so it
+        # is within area*A*(k^2 + 1)*u of the witness's real value.  The
+        # enumerator's column sums and their positive (negative) parts are
+        # within 2k*u*A of the real ones, so its argmax row set loses <= 4k*u*A
+        # of the unscaled cut norm, and the columns read off it another k*u*A.
+        # The heuristic witness is real, so its value is below the cut norm:
+        # trial >= lb - area*A*(2k^2 + 5k + 2)*u, and for k >= 2 the margin
+        # m = 8k^2*u*area*A covers this and the higher-order terms.  A prune
+        # (lb > current - m) thus implies trial > current - 2m, never an
+        # accepted swap, and gains below 2m are rounding noise, not progress.
+        area = (w1.t / k) ** 2
+        m = 4 * k**2 * np.finfo(float).eps * area * (np.abs(va).sum() + np.abs(vb).sum())
         perm = best_perm.copy()
         current = best_cut
-        for _ in range(max(1, iters)):
+        pruned = evaluated = accepted = 0
+        for passes in range(1, max(1, iters) + 1):
             improved = False
             for i in range(k - 1):
                 for j in range(i + 1, k):
                     perm[i], perm[j] = perm[j], perm[i]
-                    trial = score(perm)
-                    if trial.value < current.value:
-                        current = trial
-                        improved = True
+                    d = diff(perm)
+                    if cut_mode == "exact" and cut_norm(
+                            d, mode="heuristic", restarts=restarts,
+                            seed=seed).value > current.value - m:
+                        pruned += 1
                     else:
-                        perm[i], perm[j] = perm[j], perm[i]
+                        evaluated += 1
+                        trial = cut_norm(d, mode=cut_mode, restarts=restarts, seed=seed)
+                        if trial.value < current.value - 2 * m:
+                            current = trial
+                            improved = True
+                            accepted += 1
+                            continue
+                    perm[i], perm[j] = perm[j], perm[i]
             if not improved:
                 break
+        logging.getLogger(__name__).debug(
+            "local search on %d cells: %d trials, %d pruned, %d %s evaluations, "
+            "%d swaps accepted", k, passes * k * (k - 1) // 2, pruned, evaluated,
+            cut_mode, accepted)
         best_cut, best_perm = current, perm
 
     return AlignmentResult(best_cut.value, tuple(int(i) for i in best_perm),

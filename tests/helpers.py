@@ -4,7 +4,9 @@ These are deliberately independent of the library code paths they check:
 brute-force enumerations, quadrature, and closed-form arithmetic only.
 """
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +50,40 @@ def sorted_cut_value(M, rows, cols, area=1.0) -> float:
     if len(rows) == 0 or len(cols) == 0:
         return 0.0
     return abs(area * float(np.sort(M[np.ix_(rows, cols)], axis=None).sum()))
+
+
+def plain_local_search(va, vb, iters):
+    """Pairwise-swap relabeling over brute-force cut norms, strict ``<``.
+
+    Cells have unit area (support ``t = k``).  Starts from the better of the
+    identity and the degree-sorted alignment (the identity on a tie), then
+    tries every swap ``(i, j)``, ``i < j``, in order, for up to ``iters``
+    passes, and keeps a swap only when it strictly lowers the cut norm.
+    Returns ``(perm, distance)``; ``perm`` maps new index -> old index of
+    ``va``.
+    """
+    k = va.shape[0]
+
+    def dist(perm):
+        M = va[np.ix_(perm, perm)] - vb
+        return brute_force_cut_norm(SimpleNamespace(values=M, k=k, t=float(k)))
+
+    sorted_perm = np.empty(k, dtype=np.int64)
+    sorted_perm[np.argsort(-vb.sum(axis=1), kind="stable")] = \
+        np.argsort(-va.sum(axis=1), kind="stable")
+    perm = min([list(range(k)), [int(i) for i in sorted_perm]], key=dist)
+    best = dist(perm)
+    for _ in range(iters):
+        improved = False
+        for i, j in itertools.combinations(range(k), 2):
+            trial = list(perm)
+            trial[i], trial[j] = trial[j], trial[i]
+            d = dist(trial)
+            if d < best:
+                perm, best, improved = trial, d, True
+        if not improved:
+            break
+    return tuple(perm), best
 
 
 def sequential_heuristic_cut(M, restarts, rng):

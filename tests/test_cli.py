@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 
@@ -187,6 +188,24 @@ class TestMainEntry:
         assert json.loads(lines[0]) == {"error": "ValueError",
                                         "message": "t = 0 is not a valid eigenvalue index"}
 
+    @pytest.mark.parametrize("target, config, message", [
+        ("rank_one_exp", '{"resolution": 0}', "resolution must be at least 1"),
+        ("rank_one_exp", '{"resolution": -3}', "resolution must be at least 1"),
+        ("celebrity", '{"cut_restarts": 0}', "restarts must be at least 1, got 0"),
+        ("celebrity", '{"cut_restarts": -1}', "restarts must be at least 1, got -1"),
+    ], ids=["resolution-zero", "resolution-negative", "restarts-zero",
+            "restarts-negative"])
+    def test_nonpositive_count_gives_one_json_error(self, tmp_path, capsys, target,
+                                                    config, message):
+        path = tmp_path / "bad.json"
+        path.write_text(config, encoding="utf-8")
+        argv = ["cutdist", str(small_graph_file(tmp_path)), target,
+                "--out", str(tmp_path / "out"), "--config", str(path)]
+        assert main(argv) != 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
+
     def test_mode_flag_overrides_config(self, tmp_path):
         out = tmp_path / "cd"
         rc = main(["cutdist", "celebrity", "celebrity", "--out", str(out),
@@ -241,3 +260,27 @@ class TestDeterminism:
         cmd_cutdist(cfg, g_path, "celebrity", a)
         cmd_cutdist(cfg, g_path, "celebrity", b)
         assert read_tree(a) == read_tree(b)
+
+    def test_cutdist_outputs_do_not_depend_on_debug_logging(self, tmp_path, caplog):
+        # two 8-vertex graphs with equal edge counts share a stretched
+        # support, so the comparison runs (and logs) a local search
+        rng = np.random.default_rng(12)
+        iu = np.column_stack(np.triu_indices(8, 1))
+        paths = []
+        for name in ("a.txt", "b.txt"):
+            pick = np.sort(rng.choice(len(iu), size=14, replace=False))
+            paths.append(tmp_path / name)
+            gsp.write_edge_list(gsp.Graph(8, iu[pick]), paths[-1])
+        cfg = RunConfig(seed=3, cut_mode="local_search")
+        cmd_cutdist(cfg, *paths, tmp_path / "quiet")
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="graphonsp"):
+            cmd_cutdist(cfg, *paths, tmp_path / "debug")
+        assert any("local search" in r.getMessage() for r in caplog.records)
+        for name in ("cutdist.json", "manifest.json"):
+            assert ((tmp_path / "quiet" / name).read_bytes()
+                    == (tmp_path / "debug" / name).read_bytes())
+
+    def test_library_logger_has_a_null_handler(self):
+        assert any(isinstance(h, logging.NullHandler)
+                   for h in logging.getLogger("graphonsp").handlers)

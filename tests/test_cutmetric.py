@@ -1,4 +1,5 @@
 import itertools
+import logging
 import tracemalloc
 
 import numpy as np
@@ -6,20 +7,36 @@ import pytest
 import scipy.sparse as sp
 
 import graphonsp as gsp
+from graphonsp import cutmetric
 from graphonsp.core import union_grid
 from graphonsp.cutmetric import _degree_sort_perm, _relabel, _UnionKernel
 from graphonsp.errors import ResolutionTooLargeError, SupportMismatchError
 from graphonsp.rng import substream
 
 from helpers import (brute_force_cut_norm, dense_core_stretched_l1,
-                     quadrature_l1_between, random_step_graphon,
-                     sequential_heuristic_cut, sorted_cut_value)
+                     plain_local_search, quadrature_l1_between,
+                     random_step_graphon, sequential_heuristic_cut,
+                     sorted_cut_value)
 
 
 def stretched_clique(k):
     iu = np.triu_indices(k, 1)
     ws, _ = gsp.stretch(gsp.canonical_graphon(gsp.Graph(k, np.column_stack(iu))))
     return ws
+
+
+def two_block_adjacency(rng, n, m_in, m_out):
+    """0/1 adjacency with ``m_in`` edges inside and ``m_out`` across two
+    blocks of ``n // 2`` and ``n - n // 2`` vertices, labels shuffled."""
+    iu = np.triu_indices(n, 1)
+    inside = (iu[0] < n // 2) == (iu[1] < n // 2)
+    pick = np.concatenate([
+        rng.choice(np.flatnonzero(inside), size=m_in, replace=False),
+        rng.choice(np.flatnonzero(~inside), size=m_out, replace=False)])
+    labels = rng.permutation(n)
+    A = np.zeros((n, n))
+    A[labels[iu[0][pick]], labels[iu[1][pick]]] = 1.0
+    return A + A.T
 
 
 def scrambled_dense_core(n=2000):
@@ -184,6 +201,56 @@ class TestCutDistance:
             ds = gsp.cut_distance_steps(a, b, mode="degree_sort", seed=seed)
             ls = gsp.cut_distance_steps(a, b, mode="local_search", iters=2, seed=seed)
             assert ls.distance <= ds.distance + 1e-12
+
+    def test_local_search_matches_plain_swap_loop(self):
+        # 0/1 values on unit cells: every cut value is an exact integer, so
+        # the oracle's strict "<" and the library's rounding margin agree
+        for seed in range(20):
+            rng = substream(seed, 0x10CA1)
+            k = int(rng.integers(4, 9))
+            inside = (k // 2) * (k // 2 - 1) // 2 + (k - k // 2) * (k - k // 2 - 1) // 2
+            va, vb = (two_block_adjacency(rng, k, inside - 1, 2) for _ in range(2))
+            iters = 1 + seed % 2
+            res = gsp.cut_distance_steps(gsp.StepGraphon(va, float(k), 1.0),
+                                         gsp.StepGraphon(vb, float(k), 1.0),
+                                         mode="local_search", iters=iters,
+                                         restarts=(1, 4, 64)[seed % 3], seed=seed)
+            assert (res.permutation, res.distance) == plain_local_search(va, vb, iters)
+
+    def test_local_search_prunes_exact_cut_norms(self, monkeypatch):
+        # a pair shaped like the benchmark's: 14 vertices, 38 + 7 edges
+        rng = substream(5, 0x10CA1)
+        ga, gb = (gsp.Graph(14, np.column_stack(np.nonzero(np.triu(
+            two_block_adjacency(rng, 14, 38, 7))))) for _ in range(2))
+        calls = []
+        exact = cutmetric._bilinear_max_exact
+        monkeypatch.setattr(cutmetric, "_bilinear_max_exact",
+                            lambda M: calls.append(1) or exact(M))
+        res = gsp.stretched_cut_distance(gsp.canonical_graphon(ga),
+                                         gsp.canonical_graphon(gb),
+                                         mode="local_search", seed=5)
+        assert res.exact and res.permutation is not None
+        assert len(calls) <= 40   # every swap trial enumerated: 184 calls
+
+    def test_local_search_logs_its_counts(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="graphonsp")
+        a = random_step_graphon(3, k=6, t=1.0)
+        b = random_step_graphon(4, k=6, t=1.0)
+        gsp.cut_distance_steps(a, b, mode="local_search", iters=2, seed=3)
+        (rec,) = [r for r in caplog.records if r.name == "graphonsp.cutmetric"]
+        k, trials, pruned, evaluated, cut_mode, accepted = rec.args
+        assert (k, cut_mode) == (6, "exact") and trials in (15, 30)
+        assert pruned + evaluated == trials
+        assert accepted <= evaluated
+
+    def test_nonpositive_restarts_rejected(self):
+        a = random_step_graphon(1, k=4, t=1.0)
+        b = random_step_graphon(2, k=4, t=1.0)
+        for restarts in (0, -1):
+            with pytest.raises(ValueError, match="restarts must be at least 1"):
+                gsp.cut_norm(a, mode="heuristic", restarts=restarts)
+            with pytest.raises(ValueError, match="restarts must be at least 1"):
+                gsp.cut_distance_steps(a, b, mode="local_search", restarts=restarts)
 
     def test_symmetry_and_triangle_inequality(self):
         for seed in range(8):

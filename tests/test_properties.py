@@ -1,4 +1,4 @@
-"""Property tests of the cut norm and of exact grid refinement."""
+"""Property tests of the cut norm, exact grid refinement and stretching."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import graphonsp as gsp  # noqa: E402
@@ -83,3 +83,15 @@ def test_equal_supports_refine_to_lcm(k1, k2, t):
     a = gsp.StepGraphon(np.zeros((k1, k1)), t, 1.0)
     b = gsp.StepGraphon(np.zeros((k2, k2)), t, 1.0)
     assert core._refinement(t, a, b) == math.lcm(k1, k2)
+
+
+@PROPERTY
+@given(w=dyadic_step_graphons(), z=dyadic_step_graphons(), j=st.integers(-3, 3),
+       mode=st.sampled_from(["degree_sort", "exact"]))
+def test_stretched_cut_distance_ignores_domain_rescaling(w, z, j, mode):
+    # W(r x, r y) on [0, t/r] stretches to the same graphon as W; a dyadic r
+    # keeps every support bit-identical, so the results agree exactly
+    assume(w.l1_norm > 0 and z.l1_norm > 0)
+    rescaled = gsp.StepGraphon(w.values, w.t / 2.0**j, w.value_bound)
+    assert (gsp.stretched_cut_distance(rescaled, z, mode=mode, restarts=4)
+            == gsp.stretched_cut_distance(w, z, mode=mode, restarts=4))
