@@ -33,6 +33,15 @@ __all__ = [
 ]
 
 
+# graphon family -> (constructor, parameter names); parameter ``x`` defaults
+# to the config field ``graphon_x``
+_FAMILIES = {
+    "celebrity": (core.CelebrityLimit, ()),
+    "constant_box": (core.ConstantBox, ("p", "s")),
+    "rank_one_exp": (core.RankOneExp, ("c", "lam")),
+}
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration; defaults are explicit and echoed back."""
@@ -80,13 +89,10 @@ class RunConfig:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
 
     def graphon(self) -> core.GraphonSpec:
-        if self.graphon_family == "celebrity":
-            return core.CelebrityLimit()
-        if self.graphon_family == "constant_box":
-            return core.ConstantBox(self.graphon_p, self.graphon_s)
-        if self.graphon_family == "rank_one_exp":
-            return core.RankOneExp(self.graphon_c, self.graphon_lam)
-        raise GraphonError(f"unknown graphon family {self.graphon_family!r}")
+        if self.graphon_family not in _FAMILIES:
+            raise GraphonError(f"unknown graphon family {self.graphon_family!r}")
+        make, keys = _FAMILIES[self.graphon_family]
+        return make(*(getattr(self, f"graphon_{key}") for key in keys))
 
 
 def _same_kind(val, default) -> bool:
@@ -276,13 +282,11 @@ def cmd_fit_filter(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
 def _load_comparison_input(cfg: RunConfig, text: str):
     """An input is an edge-list path or a spec string like
     'constant_box:p=0.5,s=1'."""
-    spec_keys = {"celebrity": (), "constant_box": ("p", "s"),
-                 "rank_one_exp": ("c", "lam")}
     head = text.split(":", 1)[0]
-    if head not in spec_keys:
+    if head not in _FAMILIES:
         g = core.read_edge_list(text)
         return core.canonical_graphon(g)
-    allowed = spec_keys[head]
+    make, allowed = _FAMILIES[head]
     params = {}
     if ":" in text:
         for item in text.split(":", 1)[1].split(","):
@@ -296,13 +300,7 @@ def _load_comparison_input(cfg: RunConfig, text: str):
                     f"bad item {item!r} in spec {text!r}: expected key=value with "
                     f"key in {list(allowed)} and a finite number")
             params[key.strip()] = num
-    if head == "celebrity":
-        return core.CelebrityLimit()
-    if head == "constant_box":
-        return core.ConstantBox(params.get("p", cfg.graphon_p),
-                                params.get("s", cfg.graphon_s))
-    return core.RankOneExp(params.get("c", cfg.graphon_c),
-                           params.get("lam", cfg.graphon_lam))
+    return make(*(params.get(key, getattr(cfg, f"graphon_{key}")) for key in allowed))
 
 
 def cmd_cutdist(cfg: RunConfig, input_a, input_b, out_dir) -> ResultBundle:

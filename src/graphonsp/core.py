@@ -8,7 +8,9 @@ pointwise evaluation so that discretization error never enters silently.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +56,9 @@ __all__ = [
 # Largest grid accepted when building an exact common refinement (dense k x k).
 _MAX_REFINE_CELLS = 4096
 
+# Largest vertex count n whose edge keys lo * n + hi < n^2 fit in int64.
+_MAX_VERTICES = math.isqrt(2**63 - 1)
+
 
 # ---------------------------------------------------------------------------
 # graphs
@@ -71,8 +76,8 @@ class Graph:
 
     def __init__(self, n: int, edges: Union[Iterable, np.ndarray]):
         n = int(n)
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if not 0 <= n <= _MAX_VERTICES:
+            raise ValueError(f"vertex count must lie in [0, {_MAX_VERTICES}], got {n}")
         arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if arr.dtype.kind in "iu":
             arr = arr.astype(np.int64, copy=False)
@@ -86,21 +91,18 @@ class Graph:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex indices")
-        if arr.size:
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            if np.any(lo == hi):
-                raise ValueError("self-loops are not allowed")
-            if lo.min() < 0 or hi.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            arr = np.column_stack([lo, hi])
-            d0 = np.diff(arr[:, 0])
-            if arr.shape[0] > 1 and not np.all(
-                    (d0 > 0) | ((d0 == 0) & (np.diff(arr[:, 1]) > 0))):
-                # not already in strict lexicographic order: sort + dedupe
-                arr = np.unique(arr, axis=0)
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
+        if np.any(lo == hi):
+            raise ValueError("self-loops are not allowed")
+        if np.any(lo < 0) or np.any(hi >= n):
+            raise ValueError("edge endpoint out of range")
+        # one int64 key per edge orders rows as (lo, hi) lexicographically
+        key = np.sort(lo * n + hi)
+        key = key[np.diff(key, prepend=-1) > 0]
         self.n = n
-        self.edge_array = arr
+        self.edge_array = np.empty((key.size, 2), dtype=np.int64)
+        np.divmod(key, n, out=(self.edge_array[:, 0], self.edge_array[:, 1]))
         self.edge_array.setflags(write=False)
 
     @property
@@ -120,11 +122,7 @@ class Graph:
         return self.edge_count / self.n**2
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        if self.edge_count:
-            np.add.at(d, self.edge_array[:, 0], 1)
-            np.add.at(d, self.edge_array[:, 1], 1)
-        return d
+        return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     def adjacency(self, sparse: bool = True):
         """Adjacency matrix, CSR by default."""
@@ -515,12 +513,7 @@ def canonical_graphon(g: Graph) -> StepGraphon:
     """
     if g.n == 0:
         raise EmptyGraphError("canonical graphon of the empty graph is undefined")
-    values = np.zeros((g.n, g.n))
-    e = g.edge_array
-    if e.size:
-        values[e[:, 0], e[:, 1]] = 1.0
-        values[e[:, 1], e[:, 0]] = 1.0
-    return StepGraphon(values, 1.0, 1.0)
+    return StepGraphon(g.adjacency(sparse=False), 1.0, 1.0)
 
 
 def normalized_graphon(g: Graph) -> StepGraphon:
@@ -655,7 +648,8 @@ def _on_uniform(w, k: int, span: float) -> np.ndarray:
 
 def _cell_index(w: _StepBase, mids: np.ndarray) -> np.ndarray:
     """Cell of ``w`` containing each midpoint, ``-1`` outside ``[0, t]``."""
-    idx = np.floor(mids / w.cell_width).astype(np.int64)
+    # clip first: far beyond the support the cell number would overflow int64
+    idx = np.floor(np.minimum(mids, w.t) / w.cell_width).astype(np.int64)
     idx[(mids > w.t) | (idx >= w.k)] = -1
     return idx
 
@@ -708,34 +702,39 @@ def l1_distance(a: _StepBase, b: _StepBase) -> float:
 # edge-list files
 # ---------------------------------------------------------------------------
 
-def read_edge_list(path) -> Graph:
-    """Read a whitespace-separated edge list.
+# a line holding more than whitespace and a comment, from its first token on
+_DATA_LINE = re.compile(r"^[^\S\n]*([^\s#].*)$", re.M)
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
-    Lines starting with ``#`` are ignored.  A header line ``n <count>``
-    fixes the vertex count; otherwise it is ``max id + 1``.  Duplicate and
-    reversed edges are deduplicated.
+
+def read_edge_list(path) -> Graph:
+    """Read a whitespace-separated edge list of decimal vertex id pairs.
+
+    ``#`` starts a comment.  A first line ``n <count>`` fixes the vertex
+    count; otherwise it is ``max id + 1``.  Duplicate and reversed edges
+    are deduplicated; a malformed line raises ``ValueError`` naming it.
     """
-    path = Path(path)
-    n_header = None
-    pairs = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            parts = s.split()
-            if parts[0] == "n" and len(parts) == 2 and n_header is None and not pairs:
-                n_header = int(parts[1])
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line: {s!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if n_header is not None:
-        n = n_header
-    else:
-        n = int(arr.max()) + 1 if arr.size else 0
-    return Graph(n, arr)
+    text = Path(path).read_text(encoding="utf-8")
+    first = _DATA_LINE.search(text)
+    head = first.group(1).split("#", 1)[0].split() if first else []
+    n = None
+    if len(head) == 2 and head[0] == "n" and _DECIMAL.fullmatch(head[1]):
+        n, text = int(head[1]), text[first.end():]
+    if not _DATA_LINE.search(text):  # no edges, on which loadtxt would warn
+        return Graph(n or 0, [])
+    try:
+        arr = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+        if arr.shape[1] != 2:
+            raise ValueError("edge lines must hold two vertex ids")
+    except ValueError:
+        # failure path only: name the first line that is not two int64 ids
+        for line in text.split("\n"):
+            tokens = line.split("#", 1)[0].split()
+            if tokens and not (len(tokens) == 2 and all(
+                    _DECIMAL.fullmatch(t) and -2**63 <= int(t) < 2**63 for t in tokens)):
+                raise ValueError(f"malformed edge line: {line.strip()!r}") from None
+        raise
+    return Graph(int(arr.max()) + 1 if n is None else n, arr)
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -266,6 +266,8 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
     if w1.t != w2.t:
         raise SupportMismatchError(
             f"supports differ: {w1.t!r} vs {w2.t!r}; refine or pad first")
@@ -329,7 +331,7 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
         perm = best_perm.copy()
         current = best_cut
         pruned = evaluated = accepted = 0
-        for passes in range(1, max(1, iters) + 1):
+        for passes in range(1, iters + 1):
             improved = False
             for i in range(k - 1):
                 for j in range(i + 1, k):
@@ -378,6 +380,8 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     by degree are evaluated, an upper bound on the relabeled distance, and
     the result is flagged ``exact=False``.
     """
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
     s1, _ = stretch(_to_spec(w1))
     s2, _ = stretch(_to_spec(w2))
     a = core.as_step(s1, resolution=resolution)

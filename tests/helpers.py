@@ -149,3 +149,43 @@ def l1_against_exp_decay(values, edges, rate):
     parts = ((antider(a) - antider(x_c)) - v * (x_c - a)) \
         + (v * (b - x_c) - (antider(x_c) - antider(b)))
     return float(np.abs(parts).sum() + antider(edges[-1]))
+
+
+def reference_read_edge_list(path):
+    """Per-line edge-list oracle: ``(n, sorted edges)``, or ``ValueError``.
+
+    Lines are read one at a time.  Blank lines and lines starting with ``#``
+    are skipped; the first other line may be the header ``n <count>``; every
+    other line must hold two integers.  Then the graph rules: the vertex
+    count is the header's or ``max id + 1``, lies in ``[0, isqrt(2^63 - 1)]``
+    and bounds every id; self-loops are rejected; reversed and repeated
+    edges collapse into one ``(i, j)`` with ``i < j``.
+    """
+    n = None
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            try:
+                if parts[0] == "n" and len(parts) == 2 and n is None and not pairs:
+                    n = int(parts[1])
+                    continue
+                if len(parts) != 2:
+                    raise ValueError
+                pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ValueError(f"malformed edge line: {line.strip()!r}") from None
+    if n is None:
+        n = max((max(p) for p in pairs), default=-1) + 1
+    if not 0 <= n <= math.isqrt(2**63 - 1):
+        raise ValueError(f"vertex count {n} out of range")
+    edges = set()
+    for i, j in pairs:
+        if i == j:
+            raise ValueError(f"self-loop at {i}")
+        if min(i, j) < 0 or max(i, j) >= n:
+            raise ValueError(f"edge {(i, j)} out of range")
+        edges.add((min(i, j), max(i, j)))
+    return n, sorted(edges)

@@ -188,6 +188,20 @@ class TestMainEntry:
         assert json.loads(lines[0]) == {"error": "ValueError",
                                         "message": "t = 0 is not a valid eigenvalue index"}
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 99999999999999999999\n", "malformed edge line: '0 99999999999999999999'"),
+        ("n 99999999999999999999\n0 1\n",
+         "vertex count must lie in [0, 3037000499], got 99999999999999999999"),
+    ], ids=["id-beyond-int64", "vertex-count-beyond-bound"])
+    def test_huge_ids_give_one_json_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "big.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = ["cutdist", str(path), "celebrity", "--out", str(tmp_path / "out")]
+        assert main(argv) != 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
+
     @pytest.mark.parametrize("target, config, message", [
         ("rank_one_exp", '{"resolution": 0}', "resolution must be at least 1"),
         ("rank_one_exp", '{"resolution": -3}', "resolution must be at least 1"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ class TestGraph:
         g = gsp.Graph(4, [(1, 0), (0, 1), (2, 3)])
         assert g.edge_count == 2
         assert g.edges == {(0, 1), (2, 3)}
+
+    def test_vertex_count_bound(self):
+        # the largest n whose edge keys lo * n + hi < n^2 fit in int64
+        top = math.isqrt(2**63 - 1)
+        g = gsp.Graph(top, [(top - 1, 0), (top - 2, top - 1), (0, top - 1)])
+        assert g.edge_array.tolist() == [[0, top - 1], [top - 2, top - 1]]
+        for n in (top + 1, -1):
+            with pytest.raises(ValueError) as info:
+                gsp.Graph(n, [])
+            assert str(info.value) == f"vertex count must lie in [0, {top}], got {n}"
 
     def test_edge_density(self):
         g = k3()
@@ -369,6 +380,17 @@ class TestSignedDifference:
         direct = gsp.step_difference(a, b).l1_norm
         assert d == pytest.approx(direct, rel=1e-12)
 
+    def test_supports_far_apart_raise_no_warning(self):
+        # stretched, a spans about 1e96 cells of b: no cell number may
+        # overflow int64 on the way to the masked index maps
+        a = gsp.StepGraphon([[2.9e-192]], 1.0, 1.0)
+        b = gsp.StepGraphon(np.full((4, 4), 0.5), 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sa, sb = gsp.stretch(a)[0], gsp.stretch(b)[0]
+            assert math.isfinite(gsp.l1_distance(sa, sb))
+            assert math.isfinite(gsp.stretched_cut_distance(a, b).distance)
+
 
 class TestEdgeList:
     def test_roundtrip(self, tmp_path):
@@ -400,6 +422,50 @@ class TestEdgeList:
         p = tmp_path / "g.txt"
         p.write_text("n 10\n0 1\n", encoding="utf-8")
         assert gsp.read_edge_list(p).n == 10
+
+    @pytest.mark.parametrize("text, expected", [
+        ("0 1\n1 2 3\n", "malformed edge line: '1 2 3'"),
+        ("0 1\n  4\t\n", "malformed edge line: '4'"),
+        ("x 2\n", "malformed edge line: 'x 2'"),
+        ("0 1\n1.5 2\n", "malformed edge line: '1.5 2'"),
+        ("n 7\n0 1\nn 7\n", "malformed edge line: 'n 7'"),
+        ("n x\n0 1\n", "malformed edge line: 'n x'"),
+        ("5\n6\n", "malformed edge line: '5'"),
+        ("0 99999999999999999999\n", "malformed edge line: '0 99999999999999999999'"),
+        ("n 99999999999999999999\n",
+         "vertex count must lie in [0, 3037000499], got 99999999999999999999"),
+        ("n 3\n0 3\n", "edge endpoint out of range"),
+        ("-1 2\n", "edge endpoint out of range"),
+        ("2 2\n", "self-loops are not allowed"),
+        # ids must be ASCII decimals, although Python's int() takes these
+        ("1_0 2\n", "malformed edge line: '1_0 2'"),
+        ("\u0661 2\n", "malformed edge line: '\u0661 2'"),
+    ], ids=["three-tokens", "one-token", "word", "float", "late-header", "word-header",
+            "one-column", "beyond-int64", "huge-header", "beyond-header", "negative",
+            "self-loop", "underscore", "non-ascii-digit"])
+    def test_malformed_files_name_the_fault(self, tmp_path, text, expected):
+        p = tmp_path / "g.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            gsp.read_edge_list(p)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize("data, n, edges", [
+        (b"n 4\r\n0 1\r\n3 2\r\n", 4, [(0, 1), (2, 3)]),
+        (b"\n  # indented\n\t#tab\n 0 1\n\n\t# last\n", 2, [(0, 1)]),
+        (b"# a\nn 5\n", 5, []),
+        (b"n 5\n", 5, []),
+        (b"", 0, []),
+        (b"  \n# only comments\n", 0, []),
+        # a comment may follow an edge or the header
+        (b"n 6 # vertices\n0 5 # an edge\n", 6, [(0, 5)]),
+    ], ids=["crlf", "blank-and-comment-lines", "comment-then-header", "header-only",
+            "empty", "comments-only", "trailing-comments"])
+    def test_well_formed_files(self, tmp_path, data, n, edges):
+        p = tmp_path / "g.txt"
+        p.write_bytes(data)
+        g = gsp.read_edge_list(p)
+        assert g.n == n and g.edge_array.tolist() == [list(e) for e in edges]
 
 
 class TestAsStep:

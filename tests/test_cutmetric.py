@@ -252,6 +252,19 @@ class TestCutDistance:
             with pytest.raises(ValueError, match="restarts must be at least 1"):
                 gsp.cut_distance_steps(a, b, mode="local_search", restarts=restarts)
 
+    def test_nonpositive_iters_rejected(self):
+        a = random_step_graphon(1, k=4, t=1.0)
+        b = random_step_graphon(2, k=4, t=1.0)
+        c = random_step_graphon(3, k=5, t=1.0 / 3.0)
+        for iters in (0, -5):
+            message = f"iters must be at least 1, got {iters}"
+            with pytest.raises(ValueError, match=message):
+                gsp.cut_distance_steps(a, b, mode="local_search", iters=iters)
+            # stretched, a meets itself on a uniform grid and c on the union grid
+            for other in (a, c):
+                with pytest.raises(ValueError, match=message):
+                    gsp.stretched_cut_distance(a, other, iters=iters)
+
     def test_symmetry_and_triangle_inequality(self):
         for seed in range(8):
             ws = [random_step_graphon(seed * 10 + i, k=4, t=1.0) for i in range(3)]
