@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -723,7 +724,9 @@ def read_edge_list(path) -> Graph:
     if not _DATA_LINE.search(text):  # no edges, on which loadtxt would warn
         return Graph(n or 0, [])
     try:
-        arr = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+        with warnings.catch_warnings():  # older numpy parses "1.5" via a float and warns
+            warnings.simplefilter("error", DeprecationWarning)
+            arr = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
         if arr.shape[1] != 2:
             raise ValueError("edge lines must hold two vertex ids")
     except ValueError:

@@ -467,6 +467,56 @@ class TestEdgeList:
         g = gsp.read_edge_list(p)
         assert g.n == n and g.edge_array.tolist() == [list(e) for e in edges]
 
+    _FLOAT_LIKE = [("1.5 2\n", "malformed edge line: '1.5 2'"),
+                   ("1e3 2\n", "malformed edge line: '1e3 2'"),
+                   ("0 99999999999999999999\n",
+                    "malformed edge line: '0 99999999999999999999'")]
+
+    @staticmethod
+    def _float_casting_loadtxt(fname, dtype, comments, ndmin):
+        """``np.loadtxt`` as numpy releases before the float-parse expiry act.
+
+        A token that is not an int64 but parses as a float only raises
+        ``DeprecationWarning`` and is then cast; loadtxt turns the warning
+        into ``ValueError`` only when a filter makes it an error.
+        """
+        rows = []
+        for line in fname.read().splitlines():
+            row = []
+            for token in line.split(comments, 1)[0].split():
+                try:
+                    value = int(token)
+                    if not -2**63 <= value < 2**63:
+                        raise ValueError
+                except ValueError:
+                    value = float(token)
+                    try:
+                        warnings.warn("Parsing an integer via a float is deprecated.",
+                                      DeprecationWarning)
+                    except DeprecationWarning as exc:
+                        raise ValueError(f"could not convert string {token!r}") from exc
+                    value = np.float64(value).astype(dtype)
+                row.append(value)
+            if row:
+                rows.append(row)
+        return np.array(rows, dtype=dtype, ndmin=ndmin)
+
+    @pytest.mark.filterwarnings("default")
+    @pytest.mark.parametrize("emulate_float_cast", [False, True],
+                             ids=["installed-numpy", "float-casting-numpy"])
+    @pytest.mark.parametrize("text, expected", _FLOAT_LIKE,
+                             ids=["float", "exponent", "beyond-int64"])
+    def test_float_like_ids_rejected_without_warning_filters(
+            self, tmp_path, monkeypatch, emulate_float_cast, text, expected):
+        # the reader may not depend on the caller's filters to reject these
+        if emulate_float_cast:
+            monkeypatch.setattr(np, "loadtxt", self._float_casting_loadtxt)
+        p = tmp_path / "g.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            gsp.read_edge_list(p)
+        assert str(info.value) == expected
+
 
 class TestAsStep:
     def test_exact_variants(self):
