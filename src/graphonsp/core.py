@@ -609,8 +609,9 @@ def union_grid(a: _StepBase, b: _StepBase):
         [T],
     ])
     bp = np.unique(bp)
-    # merge breakpoints closer than float noise so widths stay positive
-    keep = np.concatenate([[True], np.diff(bp) > 1e-12 * max(1.0, T)])
+    # merge breakpoints closer than the float noise of their own magnitude
+    # so widths stay positive, and a short support keeps its cells
+    keep = np.concatenate([[True], np.diff(bp) > 1e-12 * np.maximum(1.0, bp[1:])])
     bp = bp[keep]
     if bp[-1] < T:
         bp = np.append(bp, T)

@@ -5,17 +5,32 @@ Sample points are sorted ascending before edges are drawn so that canonical
 graphons of samples converge without unknown relabelings; all randomness
 flows through counter-based sub-streams keyed per grid cell, making every
 cell individually reproducible and order-independent.
+
+:func:`sample_graph` never probes all ``n (n - 1) / 2`` pairs.  It splits
+the sorted points into blocks, runs on which ``W`` does not increase in
+either coordinate: the kernel's own cells for a :class:`StepGraphon` (plus
+one block beyond its support), ``x <= s`` and ``x > s`` for
+:class:`ConstantBox` and :class:`CelebrityLimit`, and for
+:class:`RankOneExp` bins of width ``1 / (8 lam)`` up to the point ``x*``
+where ``g(x*) = 1/n``, then one tail block, so ``B = O(log n)`` blocks.  On
+each block pair ``W`` is largest at its first pair, which gives an exact
+envelope ``q``.  A Poisson number of uniform candidate pairs, with mean
+``-N log(1 - q)`` for ``N`` pairs, hits each pair with probability exactly
+``q``; each distinct candidate is then kept with probability ``W / q``,
+which is 1 for the step families.  The cost is ``O(n + B^2 + |E|)``.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import core
-from .core import Graph, GraphonSpec, StepGraphon, StepSignal, canonical_graphon
+from .core import (CelebrityLimit, ConstantBox, Graph, GraphonSpec, RankOneExp,
+                   StepGraphon, StepSignal, canonical_graphon)
 from .cutmetric import stretched_cut_distance
 from .errors import ProbabilityRangeError, ScheduleError
 from .rng import derive_key, substream
@@ -118,7 +133,11 @@ def sample_graph(w: GraphonSpec, t_m: float, n: int, seed: int,
     """Draw ``n`` uniform points on ``[0, t_m]``, sort them, and connect
     ``(i, j)`` independently with probability ``W(x_i, x_j)``.
 
-    Deterministic given the seed.  Raises if any probed value exceeds 1.
+    Deterministic given the seed.  Costs ``O(n + B^2 + |E|)`` for ``B``
+    blocks (see the module docstring).  Raises
+    :class:`ProbabilityRangeError` if ``W`` exceeds ``1 + 1e-12`` at some
+    pair of points and ``TypeError`` for a kernel with no block rule, such
+    as a :class:`SignedStepGraphon`.
     """
     if n < 1:
         raise ValueError("need at least one sample point")
@@ -126,35 +145,87 @@ def sample_graph(w: GraphonSpec, t_m: float, n: int, seed: int,
         raise ValueError("t_m must be positive")
     rng = substream(seed, 0x5A, m_index, n)
     xs = np.sort(rng.uniform(0.0, t_m, size=n))
-    rows = []
-    cols = []
-    # rows are processed in blocks; the uniform stream is consumed in the
-    # same row-major order regardless of the block size, so results are
-    # independent of the chunking
-    block = max(1, (1 << 22) // max(n, 1))
-    for start in range(0, n - 1, block):
-        stop = min(start + block, n - 1)
-        idx = np.arange(start, stop)
-        p = np.asarray(w.eval(xs[idx, None], xs[None, :]), dtype=np.float64)
-        mask = np.arange(n)[None, :] > idx[:, None]   # strict upper triangle
-        bad = (p > 1.0 + 1e-12) & mask
-        if np.any(bad):
-            bi, bj = np.argwhere(bad)[0]
-            raise ProbabilityRangeError(
-                f"W({xs[idx[bi]]!r}, {xs[bj]!r}) = {p[bi, bj]!r} exceeds 1")
-        counts = n - 1 - idx
-        p_flat = p[mask]                       # row-major: matches draw order
-        draws = rng.random(p_flat.size)
-        hits = draws < p_flat
-        if np.any(hits):
-            rows.append(np.repeat(idx, counts)[hits])
-            cols.append(np.nonzero(mask)[1][hits])
-    if rows:
-        edges = np.column_stack([np.concatenate(rows), np.concatenate(cols)])
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    graph = Graph(n, edges)
+    graph = Graph(n, _sample_edges(w, xs, rng))
     return SampledGraph(graph, SamplePoints(m_index, t_m, xs), seed)
+
+
+def _block_labels(w: GraphonSpec, xs: np.ndarray) -> np.ndarray:
+    """A nondecreasing label per sorted point.
+
+    On a run of equal labels ``W`` does not increase in either coordinate,
+    and for the step families it is constant on every pair of runs.
+    """
+    if isinstance(w, StepGraphon):
+        # the cell rule of _StepBase.eval, and label k beyond the support
+        cell = np.clip(np.floor(xs / w.cell_width), 0, w.k - 1)
+        return np.where(xs <= w.t, cell, w.k)
+    if isinstance(w, (ConstantBox, CelebrityLimit)):
+        return xs > w.support_length
+    if isinstance(w, RankOneExp):
+        # bins of width 1 / (8 lam) up to x* = log(c^2 n^2) / lam, where
+        # g(x*) = 1/n, then one tail block: B = O(log n) for any t_m
+        bins = math.ceil(16.0 * max(0.0, math.log(w.c) + math.log(xs.size)))
+        return np.minimum(np.floor(xs * (8.0 * w.lam)), bins)
+    raise TypeError(f"no sampler for {type(w).__name__}: edge probabilities "
+                    "must come from a nonnegative graphon spec")
+
+
+def _sample_edges(w: GraphonSpec, xs: np.ndarray, rng) -> np.ndarray:
+    """Edges ``(i, j)``, ``i < j``, each present independently with
+    probability ``W(x_i, x_j)``, for sorted points ``xs``."""
+    n = xs.size
+    new = np.concatenate([[True], np.diff(_block_labels(w, xs)) != 0])
+    blk = np.cumsum(new) - 1                 # block of each point
+    starts = np.flatnonzero(new)
+    sizes = np.diff(starts, append=n)
+    # block pairs a <= b in row-major order; pair (a, a) sits at first[a]
+    width = starts.size - np.arange(starts.size)
+    first = np.cumsum(width) - width
+    a = np.repeat(np.arange(starts.size), width)
+    b = np.arange(a.size) - first[a] + a
+    diag = a == b
+    npairs = np.where(diag, sizes[a] * (sizes[a] - 1) // 2, sizes[a] * sizes[b])
+    # W is largest at the first pair of a block pair: its envelope q
+    i0, j0 = starts[a], np.minimum(starts[b] + diag, n - 1)
+    q = np.asarray(w.eval(xs[i0], xs[j0]), dtype=np.float64)
+    bad = np.flatnonzero((q > 1.0 + 1e-12) & (npairs > 0))
+    if bad.size:
+        i, j = i0[bad[0]], j0[bad[0]]
+        raise ProbabilityRangeError(
+            f"W(x[{i}], x[{j}]) = W({float(xs[i])!r}, {float(xs[j])!r}) "
+            f"= {float(q[bad[0]])!r} exceeds 1")
+    q = np.minimum(q, 1.0)
+    # Poisson(-log(1 - q)) arrivals per pair hit it with probability q,
+    # independently across pairs; complete block pairs take every pair
+    full = q == 1.0
+    counts = rng.poisson(npairs * -np.log1p(-np.where(full, 0.0, q)))
+    counts[full] = npairs[full]
+    pid = np.repeat(np.arange(a.size), counts)
+    off = np.arange(pid.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    draw = ~full[pid]
+    off[draw] = rng.integers(0, npairs[pid[draw]])
+    pa, pb = a[pid], b[pid]
+    lo, hi = np.divmod(off, sizes[pb])
+    on = pa == pb
+    lo[on], hi[on] = _triangle_pair(off[on])
+    key = np.sort((starts[pa] + lo) * n + starts[pb] + hi)
+    key = key[np.diff(key, prepend=-1) > 0]
+    # thinning: keep a candidate with probability W / q
+    i, j = np.divmod(key, n)
+    pid = first[blk[i]] + blk[j] - blk[i]
+    keep = rng.random(key.size) * q[pid] < w.eval(xs[i], xs[j])
+    logging.getLogger(__name__).debug(
+        "sampled %d points in %d blocks, %d block pairs: %d candidates, "
+        "%d edges kept", n, starts.size, a.size, key.size, int(keep.sum()))
+    return np.column_stack([i[keep], j[keep]])
+
+
+def _triangle_pair(idx: np.ndarray) -> tuple:
+    """``(lo, hi)`` with ``lo < hi`` at row-major index ``hi (hi - 1) / 2 + lo``."""
+    hi = np.floor((1.0 + np.sqrt(1.0 + 8.0 * idx)) / 2.0).astype(np.int64)
+    hi -= hi * (hi - 1) // 2 > idx
+    hi += (hi + 1) * hi // 2 <= idx
+    return idx - hi * (hi - 1) // 2, hi
 
 
 def sample_double_sequence(w: GraphonSpec, t_schedule, n_schedule,

@@ -112,6 +112,20 @@ def sequential_heuristic_cut(M, restarts, rng):
     return list(np.nonzero(best_s)[0]), list(np.nonzero(best_t)[0])
 
 
+def dense_sample_graph(w, xs, rng):
+    """Edges of the model graph on the sorted points ``xs``, pair by pair.
+
+    Probes every pair ``i < j`` in row-major order and keeps it when a
+    uniform draw from ``rng`` falls below ``W(x_i, x_j)``: the ``O(n^2)``
+    definition of the model, using no library code apart from ``w.eval``.
+    Returns the sorted ``(m, 2)`` edge array.
+    """
+    i, j = np.triu_indices(xs.size, 1)
+    p = np.asarray(w.eval(xs[i], xs[j]), dtype=np.float64)
+    keep = rng.random(p.size) < p
+    return np.column_stack([i[keep], j[keep]])
+
+
 def quadrature_l1_between(w, func, n_grid=4000):
     """Midpoint quadrature of ``|w - func|`` over the union support."""
     T = w.support_length

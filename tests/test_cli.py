@@ -295,6 +295,17 @@ class TestDeterminism:
             assert ((tmp_path / "quiet" / name).read_bytes()
                     == (tmp_path / "debug" / name).read_bytes())
 
+    def test_sample_outputs_do_not_depend_on_debug_logging(self, tmp_path, caplog):
+        cfg = RunConfig(seed=3, t_schedule=[1.0, 2.0], n_schedule=[20, 40],
+                        resolution=32)
+        cmd_sample(cfg, tmp_path / "quiet")
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="graphonsp"):
+            cmd_sample(cfg, tmp_path / "debug")
+        assert sum(r.name == "graphonsp.sampling" and "blocks" in r.getMessage()
+                   for r in caplog.records) == 4
+        assert read_tree(tmp_path / "quiet") == read_tree(tmp_path / "debug")
+
     def test_library_logger_has_a_null_handler(self):
         assert any(isinstance(h, logging.NullHandler)
                    for h in logging.getLogger("graphonsp").handlers)

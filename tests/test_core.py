@@ -388,7 +388,7 @@ class TestSignedDifference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sa, sb = gsp.stretch(a)[0], gsp.stretch(b)[0]
-            assert math.isfinite(gsp.l1_distance(sa, sb))
+            assert gsp.l1_distance(sa, sb) == pytest.approx(2.0)
             assert math.isfinite(gsp.stretched_cut_distance(a, b).distance)
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,9 @@ import pytest
 import graphonsp as gsp
 from graphonsp.errors import ProbabilityRangeError, ScheduleError
 from graphonsp.rng import derive_key, substream
+from graphonsp.sampling import _sample_edges
+
+from helpers import dense_sample_graph
 
 
 class TestSampleGraph:
@@ -34,6 +39,55 @@ class TestSampleGraph:
         with pytest.raises(ProbabilityRangeError, match="exceeds 1"):
             gsp.sample_graph(gsp.RankOneExp(2.0, 1.0), 1.0, 20, seed=0)
 
+    def test_range_check_tolerates_rounding_above_one(self):
+        w = gsp.RankOneExp(1.0 + 4e-13, 1.0)
+        gsp.sample_graph(w, 1.0, 2000, seed=0)
+        # W(0, 0) = c^2 lies within 1e-12 of 1: those pairs are certain
+        xs = np.array([0.0, 0.0, 0.0, 0.5, 2.0])
+        edges = _sample_edges(w, xs, substream(0, 1))
+        assert {(0, 1), (0, 2), (1, 2)} <= set(map(tuple, edges.tolist()))
+
+    def test_range_check_raises_exactly_when_a_pair_exceeds_one(self):
+        # W(x, y) = 1.0201 exp(-x - y) exceeds 1 iff x + y < log(1.0201);
+        # the check must agree with a scan of every pair i < j
+        w = gsp.RankOneExp(1.01, 1.0)
+        raised = 0
+        for seed in range(40):
+            xs = np.sort(substream(seed, 0xE4).uniform(0.0, 0.04, 6))
+            i, j = np.triu_indices(6, 1)
+            over = np.asarray(w.eval(xs[i], xs[j])).max() > 1.0 + 1e-12
+            if not over:
+                _sample_edges(w, xs, substream(seed, 1))
+                continue
+            raised += 1
+            with pytest.raises(ProbabilityRangeError) as info:
+                _sample_edges(w, xs, substream(seed, 1))
+            found = re.search(r"W\(x\[(\d+)\], x\[(\d+)\]\) = W\((\S+), (\S+)\) "
+                              r"= (\S+) exceeds 1", str(info.value))
+            a, b = int(found[1]), int(found[2])
+            assert a < b and float(found[3]) == xs[a] and float(found[4]) == xs[b]
+            assert float(found[5]) == w.eval(xs[a], xs[b]) > 1.0 + 1e-12
+        assert 5 <= raised <= 35
+        with pytest.raises(ProbabilityRangeError, match=r"W\(x\[\d+\], x\[\d+\]\)"):
+            gsp.sample_graph(w, 1.0, 2000, seed=0)
+
+    @pytest.mark.parametrize("w", [gsp.RankOneExp(2.0, 1.0), gsp.ConstantBox(1.0, 1.0),
+                                   gsp.CelebrityLimit(),
+                                   gsp.StepGraphon([[1.0]], 1.0, 1.0)])
+    def test_single_point_never_raises(self, w):
+        assert gsp.sample_graph(w, 1.0, 1, seed=0).graph.edge_count == 0
+
+    def test_unit_box_gives_complete_graph_on_its_points(self):
+        sg = gsp.sample_graph(gsp.ConstantBox(1.0, 0.7), 2.0, 300, seed=4)
+        k = int((sg.points.xs <= 0.7).sum())
+        assert 60 < k < 150
+        assert np.array_equal(sg.graph.edge_array, np.column_stack(np.triu_indices(k, 1)))
+
+    def test_signed_step_graphon_is_rejected(self):
+        w = gsp.SignedStepGraphon([[-0.5, 0.5], [0.5, 0.2]], 1.0, 1.0)
+        with pytest.raises(TypeError, match="SignedStepGraphon"):
+            gsp.sample_graph(w, 1.0, 50, seed=0)
+
     def test_celebrity_edge_count_matches_binomial_prediction(self):
         # |E| = C(K, 2) with K ~ Bin(n, 1/2); exact mean and variance from
         # binomial moments: E = C(n,2)/4, Var via E[K^3], E[K^4]
@@ -52,6 +106,108 @@ class TestSampleGraph:
                   for s in range(seeds)]
         se_mean = math.sqrt(var_e / seeds)
         assert abs(np.mean(counts) - mean_e) <= 3 * se_mean
+
+
+def _oracle_cases():
+    """(name, kernel, points) for every family, with points on every cell
+    boundary and a step support shorter than the sampled range."""
+    n = 240
+    step = gsp.StepGraphon(np.array([[0.9, 0.2, 0.0, 0.5],
+                                     [0.2, 0.0, 0.0, 1.0],
+                                     [0.0, 0.0, 0.3, 0.05],
+                                     [0.5, 1.0, 0.05, 0.7]]), 1.5, 1.0)
+    cases = [("step", step, 2.0, [0.0, 0.375, 0.75, 1.125, 1.5]),
+             ("box", gsp.ConstantBox(0.3, 1.1), 2.0, [1.1]),
+             ("celebrity", gsp.CelebrityLimit(), 3.0, [1.0]),
+             # x* = log(n^2) ~ 11 < 12: the tail block holds about 8% of the points
+             ("rank_one", gsp.RankOneExp(1.0, 1.0), 12.0, [0.0, 0.125])]
+    out = []
+    for k, (name, w, t, fixed) in enumerate(cases):
+        xs = substream(k, 0x0AC1E).uniform(0.0, t, n - len(fixed))
+        out.append((name, w, np.sort(np.concatenate([xs, fixed]))))
+    return out
+
+
+class TestBlockSamplerAgainstDenseOracle:
+    """The block sampler and the pair-by-pair oracle on the same points.
+
+    Given the points, each pair is an independent Bernoulli(W(x_i, x_j)), so
+    every count below has an exact mean and variance.  Over ``SEEDS``
+    independent graphs per sampler, a correct sampler gives z-scores that
+    are close to standard normal wherever the summed variance is at least
+    5.  The bounds are 5 for the ~2100 per-vertex and block-pair z-scores
+    and 4.5 for the 32 histogram comparisons, so all checks together
+    false-alarm with probability below 2e-3, and the seeds are fixed.
+    """
+
+    SEEDS = 50
+
+    @classmethod
+    def _runs(cls, w, xs):
+        return ([_sample_edges(w, xs, substream(s, 0xB10C)) for s in range(cls.SEEDS)],
+                [dense_sample_graph(w, xs, substream(s, 0xDE45)) for s in range(cls.SEEDS)])
+
+    @staticmethod
+    def _z(total, mean, var, seeds):
+        # counts of variance 0 are exact; below a summed variance of 5 the
+        # normal approximation fails, and the block-pair counts cover them
+        exact = var == 0
+        assert np.array_equal(total[exact], seeds * mean[exact])
+        use = seeds * var >= 5.0
+        return (total[use] - seeds * mean[use]) / np.sqrt(seeds * var[use])
+
+    @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+    def test_block_pair_counts_and_degrees_match_binomial(self, case):
+        _, w, xs = case
+        n, seeds = xs.size, self.SEEDS
+        p = np.triu(np.asarray(w.eval(xs[:, None], xs[None, :])), 1)
+        group = np.arange(n) * 6 // n          # six blocks of consecutive points
+        gi, gj = np.meshgrid(group, group, indexing="ij")
+        cell = gi * 6 + gj
+        mean_g = np.bincount(cell.ravel(), p.ravel(), 36)
+        var_g = np.bincount(cell.ravel(), (p * (1 - p)).ravel(), 36)
+        sym = p + p.T
+        mean_d, var_d = sym.sum(axis=1), (sym * (1 - sym)).sum(axis=1)
+        for runs in self._runs(w, xs):
+            tot_g = sum(np.bincount(group[e[:, 0]] * 6 + group[e[:, 1]], minlength=36)
+                        for e in runs)
+            tot_d = sum(np.bincount(e.ravel(), minlength=n) for e in runs)
+            assert np.abs(self._z(tot_g, mean_g, var_g, seeds)).max(initial=0) <= 5.0
+            assert np.abs(self._z(tot_d, mean_d, var_d, seeds)).max(initial=0) <= 5.0
+
+    @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+    def test_degree_histograms_match_the_oracle(self, case):
+        # per graph: how many vertices fall in each of 8 degree bins (pooled
+        # quantiles); graphs are independent, so a Welch z per bin applies
+        _, w, xs = case
+        block, dense = self._runs(w, xs)
+        deg = [[np.bincount(e.ravel(), minlength=xs.size) for e in runs]
+               for runs in (block, dense)]
+        cuts = np.unique(np.quantile(np.concatenate(deg[0] + deg[1]),
+                                     np.linspace(0, 1, 9)[1:-1]))
+        hist = [np.array([np.bincount(np.searchsorted(cuts, d, side="right"),
+                                      minlength=cuts.size + 1) for d in runs])
+                for runs in deg]
+        se = np.sqrt((hist[0].var(axis=0, ddof=1) + hist[1].var(axis=0, ddof=1))
+                     / self.SEEDS)
+        diff = hist[0].mean(axis=0) - hist[1].mean(axis=0)
+        assert np.all(diff[se == 0] == 0)
+        assert np.abs(diff[se > 0] / se[se > 0]).max(initial=0) <= 4.5
+
+    def test_million_points_sample_in_sparse_memory(self):
+        # edge count against its exact mean given the points; separable
+        # kernel: sum_{i<j} g_i g_j = ((sum g)^2 - sum g^2) / 2
+        w = gsp.RankOneExp(1.0, 1.0)
+        tracemalloc.start()
+        try:
+            sg = gsp.sample_graph(w, 2000.0, 10**6, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+        g = w.profile(sg.points.xs)
+        mu = (g.sum() ** 2 - (g**2).sum()) / 2.0
+        assert abs(sg.graph.edge_count - mu) <= 6.0 * math.sqrt(mu)
 
 
 class TestDoubleSequence:
