@@ -26,7 +26,6 @@ from .core import (
     StretchTag,
     as_step,
     canonical_graphon,
-    common_grid,
     l1_distance,
     l1_restricted,
     normalized_graphon,

@@ -48,7 +48,6 @@ __all__ = [
     "l1_restricted",
     "step_difference",
     "l1_distance",
-    "common_grid",
     "union_grid",
     "read_edge_list",
     "write_edge_list",
@@ -179,8 +178,8 @@ class _StepBase:
 
     def __init__(self, values: np.ndarray, t: float, value_bound: float):
         values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("values must be a square matrix")
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
+            raise ValueError("values must be a nonempty square matrix")
         if not np.array_equal(values, values.T):
             raise ValueError("values must be symmetric")
         if not (t > 0):
@@ -243,9 +242,9 @@ class StepGraphon(_StepBase):
         return self.cell_width**2 * float(self.values.sum())
 
     def _check_bound(self):
-        if self.values.size and self.values.min() < 0:
+        if self.values.min() < 0:
             raise ValueError("step graphon values must be nonnegative")
-        if self.values.size and self.values.max() > self.value_bound:
+        if self.values.max() > self.value_bound:
             raise ValueError("value exceeds the stated bound")
 
 
@@ -253,7 +252,7 @@ class SignedStepGraphon(_StepBase):
     """Step graphon allowed to take negative values (differences W1 - W2)."""
 
     def _check_bound(self):
-        if self.values.size and np.abs(self.values).max() > self.value_bound:
+        if np.abs(self.values).max() > self.value_bound:
             raise ValueError("absolute value exceeds the stated bound")
 
 
@@ -344,37 +343,12 @@ class RankOneExp:
         return (self.c * (1.0 - math.exp(-self.lam * t_m)) / self.lam) ** 2
 
 
-@dataclass(frozen=True)
-class CelebrityLimit:
+def CelebrityLimit() -> ConstantBox:
     """Indicator of the unit square, the limit of dense-core sequences."""
-
-    @property
-    def l1_norm(self) -> float:
-        return 1.0
-
-    @property
-    def l2_norm(self) -> float:
-        return 1.0
-
-    @property
-    def value_bound(self) -> float:
-        return 1.0
-
-    @property
-    def support_length(self) -> float:
-        return 1.0
-
-    def eval(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        out = np.where((x >= 0) & (x <= 1) & (y >= 0) & (y <= 1), 1.0, 0.0)
-        return out if out.ndim else float(out)
-
-    def l1_restricted(self, t_m: float) -> float:
-        return min(1.0, t_m) ** 2
+    return ConstantBox(1.0, 1.0)
 
 
-GraphonSpec = Union[StepGraphon, ConstantBox, RankOneExp, CelebrityLimit]
+GraphonSpec = Union[StepGraphon, ConstantBox, RankOneExp]
 
 
 def l1_restricted(w: GraphonSpec, t_m: float) -> float:
@@ -484,8 +458,6 @@ def stretch(w: GraphonSpec) -> tuple[GraphonSpec, StretchTag]:
     if isinstance(w, RankOneExp):
         # g(r x) = c exp(-(lam r) x): same family, faster decay.
         return RankOneExp(w.c, w.lam * r), StretchTag(r, None)
-    if isinstance(w, CelebrityLimit):
-        return w, StretchTag(1.0, 1.0)
     raise TypeError(f"not a graphon spec: {type(w).__name__}")
 
 
@@ -566,7 +538,7 @@ def as_step(w: GraphonSpec, resolution: int | None = None,
             support: float | None = None) -> StepGraphon:
     """Exact step representation where one exists, else a midpoint sample.
 
-    ``ConstantBox`` and ``CelebrityLimit`` convert exactly (one cell);
+    ``ConstantBox`` converts exactly (one cell);
     ``RankOneExp`` needs ``resolution`` and a support cutoff (default
     ``40 / lam``, beyond which the mass is far below double precision).
     """
@@ -576,8 +548,6 @@ def as_step(w: GraphonSpec, resolution: int | None = None,
         raise TypeError("signed step graphons are already step representations")
     if isinstance(w, ConstantBox):
         return StepGraphon(np.array([[w.p]]), w.s, w.p if w.p > 0 else 1.0)
-    if isinstance(w, CelebrityLimit):
-        return StepGraphon(np.array([[1.0]]), 1.0, 1.0)
     if isinstance(w, RankOneExp):
         if resolution is None:
             raise StepRequiredError(
@@ -667,15 +637,6 @@ def _lookup(values, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def common_grid(a: _StepBase, b: _StepBase):
-    """Union-grid widths and both value matrices looked up on that grid.
-
-    Returns ``(widths, va, vb)``; see :func:`union_grid`.
-    """
-    widths, ia, ib = union_grid(a, b)
-    return widths, _lookup(a.values, ia, ia), _lookup(b.values, ib, ib)
-
-
 def step_difference(a: _StepBase, b: _StepBase,
                     resolution: int | None = None) -> SignedStepGraphon:
     """Difference ``a - b`` as a signed step graphon on a uniform grid.
@@ -696,7 +657,8 @@ def step_difference(a: _StepBase, b: _StepBase,
 
 def l1_distance(a: _StepBase, b: _StepBase) -> float:
     """Exact ``||a - b||_1`` for two step graphons on arbitrary grids."""
-    widths, va, vb = common_grid(a, b)
+    widths, ia, ib = union_grid(a, b)
+    va, vb = _lookup(a.values, ia, ia), _lookup(b.values, ib, ib)
     return float(widths @ np.abs(va - vb) @ widths)
 
 

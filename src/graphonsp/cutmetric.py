@@ -19,7 +19,6 @@ import scipy.sparse as sp
 
 from . import core
 from .core import (
-    CelebrityLimit,
     ConstantBox,
     GraphonSpec,
     RankOneExp,
@@ -170,6 +169,23 @@ def _evaluate(sub: np.ndarray, area: float) -> float:
     return abs(area * float(np.sort(sub, axis=None).sum()))
 
 
+def _cut(block, matmat, k: int, exact: bool, restarts: int, seed: int,
+         area: float = 1.0) -> CutResult:
+    """Cut norm of a symmetric ``k x k`` kernel with cells of the given area.
+
+    ``block(rows, cols)`` returns the dense sub-kernel and ``matmat(X)`` the
+    product with a ``k x c`` block.  Exact mode enumerates the full kernel;
+    heuristic mode runs on ``matmat`` with the ``0xC07`` substream of
+    ``seed``.  The value is re-evaluated at the witness sets.
+    """
+    if exact:
+        rows, cols = _bilinear_max_exact(block(np.arange(k), np.arange(k)))
+    else:
+        rows, cols = _bilinear_max_heuristic(matmat, k, restarts, substream(seed, 0xC07))
+    value = _evaluate(block(rows, cols), area)
+    return CutResult(value, tuple(rows), tuple(cols), exact)
+
+
 def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutResult:
     """Cut norm of a (signed) step graphon.
 
@@ -177,22 +193,14 @@ def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutRe
     runs ``restarts`` alternating maximizations.  The returned value is always
     re-evaluated at the witness sets, so it is recomputable exactly.
     """
-    M = w.values
-    area = (w.t / w.k) ** 2
-    if mode == "exact":
-        if w.k > EXACT_CUT_LIMIT:
-            raise ResolutionTooLargeError(
-                f"exact cut norm is limited to k <= {EXACT_CUT_LIMIT}, got {w.k}")
-        rows, cols = _bilinear_max_exact(M)
-        exact = True
-    elif mode == "heuristic":
-        rng = substream(seed, 0xC07)
-        rows, cols = _bilinear_max_heuristic(M.__matmul__, w.k, restarts, rng)
-        exact = False
-    else:
+    if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    value = _evaluate(M[np.ix_(rows, cols)], area)
-    return CutResult(value, tuple(rows), tuple(cols), exact)
+    if mode == "exact" and w.k > EXACT_CUT_LIMIT:
+        raise ResolutionTooLargeError(
+            f"exact cut norm is limited to k <= {EXACT_CUT_LIMIT}, got {w.k}")
+    M = w.values
+    return _cut(lambda r, c: M[np.ix_(r, c)], M.__matmul__, w.k, mode == "exact",
+                restarts, seed, (w.t / w.k) ** 2)
 
 
 class _UnionKernel:
@@ -228,18 +236,6 @@ class _UnionKernel:
         return (va - vb) * np.outer(self.widths[rows], self.widths[cols])
 
 
-def _union_cut(kernel: _UnionKernel, exact: bool, restarts: int, seed: int) -> CutResult:
-    """Cut norm of a union-grid kernel: exact for tiny grids, else heuristic."""
-    U = kernel.widths.size
-    if exact:
-        rows, cols = _bilinear_max_exact(kernel.block(np.arange(U), np.arange(U)))
-    else:
-        rng = substream(seed, 0xC07)
-        rows, cols = _bilinear_max_heuristic(kernel.matmat, U, restarts, rng)
-    value = _evaluate(kernel.block(rows, cols), 1.0)
-    return CutResult(value, tuple(rows), tuple(cols), exact)
-
-
 # ---------------------------------------------------------------------------
 # cut distance between equal-support step graphons
 # ---------------------------------------------------------------------------
@@ -254,6 +250,15 @@ def _degree_sort_perm(values: np.ndarray) -> np.ndarray:
     return np.argsort(-values.sum(axis=1), kind="stable")
 
 
+def _check_alignment_args(mode: str, iters: int, restarts: int) -> None:
+    if mode not in ("exact", "degree_sort", "local_search"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if iters < 1:
+        raise ValueError(f"iters must be at least 1, got {iters}")
+
+
 def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
                        restarts: int = 64, seed: int = 0) -> AlignmentResult:
     """Cut distance between step graphons, minimized over cell relabelings.
@@ -264,10 +269,7 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
     mode also evaluates the identity alignment, so the result never exceeds
     the unaligned cut norm.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    _check_alignment_args(mode, iters, restarts)
     if w1.t != w2.t:
         raise SupportMismatchError(
             f"supports differ: {w1.t!r} vs {w2.t!r}; refine or pad first")
@@ -275,11 +277,18 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
     if k is None:
         raise ResolutionTooLargeError(
             f"common refinement of {w1.k} and {w2.k} cells is too large")
-    va, vb = core._on_uniform(w1, k, w1.t), core._on_uniform(w2, k, w1.t)
-    bound = w1.value_bound + w2.value_bound
+    return _align(core._on_uniform(w1, k, w1.t), core._on_uniform(w2, k, w1.t), w1.t,
+                  w1.value_bound + w2.value_bound, mode, iters, restarts, seed)
+
+
+def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
+           iters: int, restarts: int, seed: int) -> AlignmentResult:
+    """:func:`cut_distance_steps` on value matrices already lifted onto one
+    ``k``-cell grid over ``[0, t]``; ``bound`` bounds ``|va - vb|``."""
+    k = va.shape[0]
 
     def diff(perm):
-        return SignedStepGraphon(_permute(va, perm) - vb, w1.t,
+        return SignedStepGraphon(_permute(va, perm) - vb, t,
                                  bound if bound > 0 else 1.0)
 
     if mode == "exact":
@@ -294,9 +303,6 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
         cut, perm = best
         return AlignmentResult(cut.value, tuple(perm), True, cut)
 
-    if mode not in ("degree_sort", "local_search"):
-        raise ValueError(f"unknown mode {mode!r}")
-
     cut_mode = "exact" if k <= EXACT_CUT_LIMIT else "heuristic"
 
     def score(perm):
@@ -305,7 +311,7 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
     identity = np.arange(k)
     p1 = _degree_sort_perm(va)
     p2 = _degree_sort_perm(vb)
-    # align sorted orders: new frame is w2's; w1 cell order chased through w2's
+    # align sorted orders: new frame is vb's; va cell order chased through vb's
     rank2 = np.empty(k, dtype=np.int64)
     rank2[p2] = np.arange(k)
     sorted_perm = p1[rank2]
@@ -326,7 +332,7 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
         # m = 8k^2*u*area*A covers this and the higher-order terms.  A prune
         # (lb > current - m) thus implies trial > current - 2m, never an
         # accepted swap, and gains below 2m are rounding noise, not progress.
-        area = (w1.t / k) ** 2
+        area = (t / k) ** 2
         m = 4 * k**2 * np.finfo(float).eps * area * (np.abs(va).sum() + np.abs(vb).sum())
         perm = best_perm.copy()
         current = best_cut
@@ -374,14 +380,13 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     Both inputs are stretched to unit 1-norm.  When their grids share a
     uniform refinement of ``[0, max(t1, t2)]`` (see ``core._refinement``),
     both are lifted onto it, zero beyond the shorter support, and compared
-    with :func:`cut_distance_steps`.  Otherwise the difference is applied
+    as in :func:`cut_distance_steps`.  Otherwise the difference is applied
     exactly, as an implicit operator, on the nonuniform union grid; there
     only the identity alignment and (outside exact mode) both inputs sorted
     by degree are evaluated, an upper bound on the relabeled distance, and
     the result is flagged ``exact=False``.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    _check_alignment_args(mode, iters, restarts)
     s1, _ = stretch(_to_spec(w1))
     s2, _ = stretch(_to_spec(w2))
     a = core.as_step(s1, resolution=resolution)
@@ -390,11 +395,9 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     T = max(a.t, b.t)
     k = core._refinement(T, a, b)
     if k is not None:
-        pa, pb = (StepGraphon(core._on_uniform(w, k, T), T, w.value_bound)
-                  for w in (a, b))
         try:
-            return cut_distance_steps(pa, pb, mode=mode, iters=iters,
-                                      restarts=restarts, seed=seed)
+            return _align(core._on_uniform(a, k, T), core._on_uniform(b, k, T), T,
+                          a.value_bound + b.value_bound, mode, iters, restarts, seed)
         except ResolutionTooLargeError:
             pass  # exact alignment needs k <= 8: fall through to the union grid
 
@@ -403,14 +406,13 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     widths, ia, ib = core.union_grid(a, b)
     Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
     exact = mode == "exact" and widths.size <= EXACT_CUT_LIMIT
-    candidates = [_union_cut(_UnionKernel(widths, Va, ia, Vb, ib),
-                             exact, restarts, seed)]
+    kernels = [_UnionKernel(widths, Va, ia, Vb, ib)]
     if mode != "exact":
         pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
-        candidates.append(_union_cut(
-            _UnionKernel(widths, Va, _relabel(ia, pa), Vb, _relabel(ib, pb)),
-            exact, restarts, seed))
-    cut = min(candidates, key=lambda c: c.value)
+        kernels.append(_UnionKernel(widths, Va, _relabel(ia, pa), Vb, _relabel(ib, pb)))
+    cut = min((_cut(kern.block, kern.matmat, widths.size, exact, restarts, seed)
+               for kern in kernels),
+              key=lambda c: c.value)
     return AlignmentResult(cut.value, None, False, cut)
 
 
@@ -420,6 +422,6 @@ def _relabel(idx: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def _to_spec(w) -> GraphonSpec:
-    if isinstance(w, (StepGraphon, ConstantBox, RankOneExp, CelebrityLimit)):
+    if isinstance(w, (StepGraphon, ConstantBox, RankOneExp)):
         return w
     raise TypeError(f"not a graphon spec: {type(w).__name__}")

@@ -15,7 +15,6 @@ from numpy.polynomial import chebyshev as cheb
 
 from . import core, spectral
 from .core import (
-    CelebrityLimit,
     ConstantBox,
     GraphonSpec,
     RankOneExp,
@@ -79,8 +78,8 @@ class GraphonOperator:
     def from_spec(cls, w: GraphonSpec) -> "GraphonOperator":
         """Build the operator of ``W^s``; ``W`` is stretched internally.
 
-        ``ConstantBox`` and ``CelebrityLimit`` become exact one-cell step
-        kernels; ``RankOneExp`` keeps its closed-form rank-one action (use
+        ``ConstantBox`` becomes an exact one-cell step kernel; ``RankOneExp``
+        keeps its closed-form rank-one action (use
         :func:`graphonsp.core.as_step` first when a step kernel is needed,
         e.g. for spectral filtering).
         """
@@ -88,7 +87,7 @@ class GraphonOperator:
         ws, _ = stretch(w)
         if isinstance(ws, RankOneExp):
             return cls(ws, bound)
-        if isinstance(ws, (ConstantBox, CelebrityLimit)):
+        if isinstance(ws, ConstantBox):
             ws = core.as_step(ws)
         if not isinstance(ws, StepGraphon):
             raise StepRequiredError(f"cannot build an operator from {type(w).__name__}")

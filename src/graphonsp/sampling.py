@@ -10,14 +10,14 @@ cell individually reproducible and order-independent.
 the sorted points into blocks, runs on which ``W`` does not increase in
 either coordinate: the kernel's own cells for a :class:`StepGraphon` (plus
 one block beyond its support), ``x <= s`` and ``x > s`` for
-:class:`ConstantBox` and :class:`CelebrityLimit`, and for
-:class:`RankOneExp` bins of width ``1 / (8 lam)`` up to the point ``x*``
-where ``g(x*) = 1/n``, then one tail block, so ``B = O(log n)`` blocks.  On
-each block pair ``W`` is largest at its first pair, which gives an exact
-envelope ``q``.  A Poisson number of uniform candidate pairs, with mean
-``-N log(1 - q)`` for ``N`` pairs, hits each pair with probability exactly
-``q``; each distinct candidate is then kept with probability ``W / q``,
-which is 1 for the step families.  The cost is ``O(n + B^2 + |E|)``.
+:class:`ConstantBox`, and for :class:`RankOneExp` bins of width
+``1 / (8 lam)`` up to the point ``x*`` where ``g(x*) = 1/n``, then one tail
+block, so ``B = O(log n)`` blocks.  On each block pair ``W`` is largest at
+its first pair, which gives an exact envelope ``q``.  A Poisson number of
+uniform candidate pairs, with mean ``-N log(1 - q)`` for ``N`` pairs, hits
+each pair with probability exactly ``q``; each distinct candidate is then
+kept with probability ``W / q``, which is 1 for the step families.  The
+cost is ``O(n + B^2 + |E|)``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import (CelebrityLimit, ConstantBox, Graph, GraphonSpec, RankOneExp,
-                   StepGraphon, StepSignal, canonical_graphon)
+from .core import (ConstantBox, Graph, GraphonSpec, RankOneExp, StepGraphon,
+                   StepSignal, canonical_graphon)
 from .cutmetric import stretched_cut_distance
 from .errors import ProbabilityRangeError, ScheduleError
 from .rng import derive_key, substream
@@ -159,7 +159,7 @@ def _block_labels(w: GraphonSpec, xs: np.ndarray) -> np.ndarray:
         # the cell rule of _StepBase.eval, and label k beyond the support
         cell = np.clip(np.floor(xs / w.cell_width), 0, w.k - 1)
         return np.where(xs <= w.t, cell, w.k)
-    if isinstance(w, (ConstantBox, CelebrityLimit)):
+    if isinstance(w, ConstantBox):
         return xs > w.support_length
     if isinstance(w, RankOneExp):
         # bins of width 1 / (8 lam) up to x* = log(c^2 n^2) / lam, where
@@ -337,18 +337,10 @@ def dense_core_graph(n: int, alpha: float) -> Graph:
 
     The edge density decays like ``n^(alpha - 1)``, so the sequence is
     sparse for every ``alpha`` in ``(0, 1)`` while its stretched canonical
-    graphon converges to the unit-square indicator.
+    graphon converges to the unit-square indicator.  It is
+    :func:`core_periphery_graph` with ``p = 1``.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be positive")
-    k = int(math.floor(n ** ((1.0 + alpha) / 2.0)))
-    k = max(k, 1)
-    if k < 2:
-        return Graph(n, np.zeros((0, 2), dtype=np.int64))
-    iu = np.triu_indices(k, 1)
-    return Graph(n, np.column_stack([iu[0], iu[1]]).astype(np.int64))
+    return core_periphery_graph(n, alpha, 1.0, 0)
 
 
 def core_periphery_graph(n: int, alpha: float, p: float, seed: int) -> Graph:
@@ -362,6 +354,8 @@ def core_periphery_graph(n: int, alpha: float, p: float, seed: int) -> Graph:
         raise ValueError("alpha must lie in (0, 1)")
     if not (0.0 < p <= 1.0):
         raise ValueError("p must lie in (0, 1]")
+    if n < 1:
+        raise ValueError("n must be positive")
     k = max(1, int(math.floor(n ** ((1.0 + alpha) / 2.0))))
     if k < 2:
         return Graph(n, np.zeros((0, 2), dtype=np.int64))

@@ -126,6 +126,13 @@ def dense_sample_graph(w, xs, rng):
     return np.column_stack([i[keep], j[keep]])
 
 
+def values_at_cell_midpoints(widths, *ws):
+    """Each graphon read with ``w.eval`` at the midpoints of cells of the
+    given widths laid end to end from 0: one ``U x U`` matrix per input."""
+    mids = np.cumsum(widths) - widths / 2.0
+    return [np.asarray(w.eval(mids[:, None], mids[None, :])) for w in ws]
+
+
 def quadrature_l1_between(w, func, n_grid=4000):
     """Midpoint quadrature of ``|w - func|`` over the union support."""
     T = w.support_length

@@ -220,6 +220,22 @@ class TestMainEntry:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
 
+    @pytest.mark.parametrize("mode", ["bogus", "heuristic"])
+    @pytest.mark.parametrize("target", ["celebrity", "self"])
+    def test_unknown_cut_mode_gives_one_json_error(self, tmp_path, capsys, mode,
+                                                   target):
+        # the incommensurable (celebrity) and the uniform (self) grid alike
+        graph = str(small_graph_file(tmp_path))
+        argv = ["cutdist", graph, graph if target == "self" else target,
+                "--out", str(tmp_path / "out"),
+                "--config", str(write_config(tmp_path, cut_mode=mode))]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ValueError",
+                                        "message": f"unknown mode {mode!r}"}
+        assert not (tmp_path / "out" / "cutdist.json").exists()
+
     def test_mode_flag_overrides_config(self, tmp_path):
         out = tmp_path / "cd"
         rc = main(["cutdist", "celebrity", "celebrity", "--out", str(out),

@@ -143,6 +143,7 @@ class TestNorms:
     def test_celebrity_norms(self):
         w = gsp.CelebrityLimit()
         assert w.l1_norm == 1.0 and w.l2_norm == 1.0
+        assert w == gsp.ConstantBox(1.0, 1.0)
 
     def test_eval_symmetry_and_support(self):
         for w in (gsp.ConstantBox(0.5, 1.5), gsp.RankOneExp(1.0, 2.0),
@@ -248,6 +249,11 @@ class TestStretch:
             gsp.SignedStepGraphon(np.array([[-0.9]]), 1.0, 0.5)
         with pytest.raises(ValueError, match="positive"):
             gsp.StepGraphon(np.array([[0.5]]), 0.0, 1.0)
+
+    def test_empty_values_rejected(self):
+        for cls in (gsp.StepGraphon, gsp.SignedStepGraphon):
+            with pytest.raises(ValueError, match="nonempty"):
+                cls(np.zeros((0, 0)), 1.0, 1.0)
 
 
 class TestStretchSignal:

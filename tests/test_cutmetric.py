@@ -16,7 +16,7 @@ from graphonsp.rng import substream
 from helpers import (brute_force_cut_norm, dense_core_stretched_l1,
                      plain_local_search, quadrature_l1_between,
                      random_step_graphon, sequential_heuristic_cut,
-                     sorted_cut_value)
+                     sorted_cut_value, values_at_cell_midpoints)
 
 
 def stretched_clique(k):
@@ -52,8 +52,9 @@ def permuted(w, perm):
 
 
 def dense_union_kernel(a, b):
-    """The materialized union-grid kernel ``(va - vb) * w w'``."""
-    widths, va, vb = gsp.common_grid(a, b)
+    """The materialized union-grid kernel ``(va - vb) * w w'``, read with ``eval``."""
+    widths = union_grid(a, b)[0]
+    va, vb = values_at_cell_midpoints(widths, a, b)
     return (va - vb) * np.outer(widths, widths)
 
 
@@ -252,6 +253,22 @@ class TestCutDistance:
             with pytest.raises(ValueError, match="restarts must be at least 1"):
                 gsp.cut_distance_steps(a, b, mode="local_search", restarts=restarts)
 
+    @pytest.mark.parametrize("mode, restarts, message", [
+        ("bogus", 64, "unknown mode 'bogus'"),
+        ("heuristic", 64, "unknown mode 'heuristic'"),
+        ("exact", 0, "restarts must be at least 1, got 0"),
+    ], ids=["unknown-mode", "cut-norm-mode", "exact-without-restarts"])
+    def test_bad_alignment_args_rejected_on_every_path(self, mode, restarts, message):
+        a = random_step_graphon(1, k=4, t=1.0)
+        b = random_step_graphon(2, k=4, t=1.0)
+        c = random_step_graphon(3, k=5, t=1.0 / 3.0)
+        with pytest.raises(ValueError, match=message):
+            gsp.cut_distance_steps(a, b, mode=mode, restarts=restarts)
+        # stretched, a meets itself on a uniform grid and c on the union grid
+        for other in (a, c):
+            with pytest.raises(ValueError, match=message):
+                gsp.stretched_cut_distance(a, other, mode=mode, restarts=restarts)
+
     def test_nonpositive_iters_rejected(self):
         a = random_step_graphon(1, k=4, t=1.0)
         b = random_step_graphon(2, k=4, t=1.0)
@@ -352,7 +369,7 @@ class TestStretchedCutDistance:
 
     def test_union_cut_value_matches_dense_kernel_at_witnesses(self):
         # the value read from the implicit kernel equals the one recomputed
-        # from the dense common_grid matrices of the winning (degree-sorted)
+        # from the dense union-grid matrices of the winning (degree-sorted)
         # candidate, bit for bit
         w = gsp.canonical_graphon(scrambled_dense_core())
         res = gsp.stretched_cut_distance(w, gsp.CelebrityLimit(),

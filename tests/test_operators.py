@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import graphonsp as gsp
+from graphonsp.core import union_grid
 from graphonsp.errors import StepRequiredError, ZeroGraphonError
 from graphonsp.operators import chebyshev_polynomial_apply
 from graphonsp.rng import substream
+
+from helpers import values_at_cell_midpoints
 
 
 def graph_like_graphon(seed, k=None):
@@ -292,7 +295,8 @@ class TestOperatorConvergence:
             wi = gsp.StepGraphon(base + eps * pert * 0.25, 1.0, 1.0)
             ws, _ = gsp.stretch(w)
             wis, _ = gsp.stretch(wi)
-            widths, va, vb = gsp.common_grid(wis, ws)
+            widths = union_grid(wis, ws)[0]
+            va, vb = values_at_cell_midpoints(widths, wis, ws)
             S = np.sqrt(widths)[:, None] * (va - vb) * np.sqrt(widths)[None, :]
             gaps.append(self._power_norm(S, seed=i))
         for a, b in zip(gaps, gaps[1:]):

@@ -1,0 +1,26 @@
+import importlib
+import inspect
+import pkgutil
+import sys
+
+import graphonsp as gsp
+
+
+def test_exported_names_resolve():
+    # bench/tracing.py getattr()s every __all__ entry, so a name left behind
+    # after a deletion would crash a traced run
+    modules = [gsp] + [importlib.import_module(f"graphonsp.{m.name}")
+                       for m in pkgutil.iter_modules(gsp.__path__)]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ lists missing {name!r}"
+    # every public name the package re-exports is the object of that name in
+    # its home module, and is listed in the home module's __all__ if it has one
+    for name, obj in vars(gsp).items():
+        home = sys.modules.get(getattr(obj, "__module__", None) or "")
+        if name.startswith("_") or inspect.ismodule(obj) or home is None \
+                or not home.__name__.startswith("graphonsp."):
+            continue
+        assert getattr(home, name, None) is obj, f"{name} does not resolve in {home.__name__}"
+        assert name in getattr(home, "__all__", [name]), \
+            f"{name} is missing from {home.__name__}.__all__"

@@ -1,6 +1,10 @@
 """Property tests of the cut norm, exact grid refinement, stretching, graph
-canonical form and edge-list reading."""
+canonical form, edge-list reading and CLI configs."""
 
+import contextlib
+import dataclasses
+import io
+import json
 import math
 import tempfile
 from collections import Counter
@@ -15,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import graphonsp as gsp  # noqa: E402
 from graphonsp import core  # noqa: E402
+from graphonsp.cli import RunConfig, main  # noqa: E402
 
 from helpers import brute_force_cut_norm, reference_read_edge_list  # noqa: E402
 
@@ -188,3 +193,72 @@ def test_reader_matches_per_line_reference(text):
             g = gsp.read_edge_list(path)
             assert g.n == n
             assert [tuple(e) for e in g.edge_array.tolist()] == edges
+
+
+_ALIGN_MODES = ("exact", "degree_sort", "local_search")
+
+
+def _config_values(key, default):
+    """Strategies of ``(value, ok)`` for one config field: well-typed values,
+    and wrong-typed or out-of-range ones.  ``ok`` means well-typed and, for
+    the two fields that ``cutdist`` range-checks, in range."""
+    if isinstance(default, bool):
+        good, bad = st.booleans(), [0, 1, "true", None, [1], {"a": 1}]
+    elif isinstance(default, int):
+        good, bad = st.integers(-5, 2**65), [1.5, True, math.nan, "7", None, [1]]
+    elif isinstance(default, float):
+        good = st.floats(-2.0, 2.0) | st.integers(-2, 2)
+        bad = [math.nan, math.inf, True, "0.5", None, [1]]
+    elif isinstance(default, str):
+        good, bad = st.text(alphabet="ab_E2", max_size=4), [3, None, [default], {"a": 1}]
+    else:
+        item = st.floats(-2.0, 2.0) if isinstance(default[0], float) else st.integers(-3, 3)
+        good, bad = st.lists(item, max_size=3), [["a"], [None], [True], 1.0, None]
+    good = good.map(lambda v: (v, True))
+    if key == "cut_restarts":  # small, and out of range below 1
+        good = st.integers(-3, 3).map(lambda v: (v, v >= 1))
+    if key == "cut_mode":  # unknown modes too, the cut-norm mode among them
+        good = st.sampled_from(_ALIGN_MODES + ("heuristic", "bogus", "", "EXACT")).map(
+            lambda v: (v, v in _ALIGN_MODES))
+    return good, st.sampled_from(bad).map(lambda v: (v, False))
+
+
+@st.composite
+def _run_configs(draw):
+    """A config dict with any subset of the fields, at most two of them
+    wrong-typed or out of range, and whether every value is ok."""
+    fields = {f.name: getattr(RunConfig(), f.name) for f in dataclasses.fields(RunConfig)}
+    keys = draw(st.sets(st.sampled_from(sorted(fields))))
+    spoiled = draw(st.sets(st.sampled_from(sorted(keys)), max_size=2)) if keys else set()
+    data, ok = {}, True
+    for key in sorted(keys):
+        good, bad = _config_values(key, fields[key])
+        data[key], fine = draw(bad if key in spoiled else good)
+        ok = ok and fine
+    return data, ok
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=_run_configs(), against_self=st.booleans())
+def test_cutdist_config_fuzz_exits_cleanly(drawn, against_self):
+    data, ok = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, cfg, out = Path(tmp) / "g.txt", Path(tmp) / "c.json", Path(tmp) / "out"
+        gsp.write_edge_list(gsp.dense_core_graph(9, 0.5), graph)
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["cutdist", str(graph), str(graph) if against_self else "celebrity",
+                       "--out", str(out), "--config", str(cfg)])
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert (out / "manifest.json").is_file() and (out / "cutdist.json").is_file()
+        else:
+            assert rc == 1
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+    if data.get("cut_mode", RunConfig.cut_mode) not in _ALIGN_MODES:
+        assert rc == 1
+    if ok:
+        assert rc == 0

@@ -407,6 +407,19 @@ class TestDenseCoreGraph:
         d2 = gsp.dense_core_graph(6400, 0.5).edge_density
         assert d2 < d1
 
+    def test_is_core_periphery_graph_at_p_one(self):
+        for n in (1, 7, 400, 3000):
+            for seed in (0, 11):
+                assert gsp.dense_core_graph(n, 0.5) == gsp.core_periphery_graph(
+                    n, 0.5, 1.0, seed)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_nonpositive_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            gsp.dense_core_graph(n, 0.5)
+        with pytest.raises(ValueError, match="n must be positive"):
+            gsp.core_periphery_graph(n, 0.5, 0.6, seed=1)
+
 
 class TestSubstreams:
     def test_independent_paths(self):
