@@ -124,18 +124,11 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
-    def adjacency(self, sparse: bool = True):
-        """Adjacency matrix, CSR by default."""
-        m = self.edge_count
-        if sparse:
-            r = np.concatenate([self.edge_array[:, 0], self.edge_array[:, 1]])
-            c = np.concatenate([self.edge_array[:, 1], self.edge_array[:, 0]])
-            return sp.csr_matrix((np.ones(2 * m), (r, c)), shape=(self.n, self.n))
-        a = np.zeros((self.n, self.n))
-        if m:
-            a[self.edge_array[:, 0], self.edge_array[:, 1]] = 1.0
-            a[self.edge_array[:, 1], self.edge_array[:, 0]] = 1.0
-        return a
+    def adjacency(self) -> sp.csr_matrix:
+        """Adjacency matrix in CSR form."""
+        r = np.concatenate([self.edge_array[:, 0], self.edge_array[:, 1]])
+        c = np.concatenate([self.edge_array[:, 1], self.edge_array[:, 0]])
+        return sp.csr_matrix((np.ones(r.size), (r, c)), shape=(self.n, self.n))
 
     def induced_subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
@@ -174,20 +167,36 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 class _StepBase:
+    """Values on a ``k x k`` grid: a read-only ``ndarray``, or a read-only
+    ``csr_matrix`` in canonical form (float64, duplicates summed, explicit
+    zeros dropped, indices sorted) when built from a sparse matrix."""
+
     __slots__ = ("k", "t", "values", "value_bound")
 
-    def __init__(self, values: np.ndarray, t: float, value_bound: float):
-        values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-        if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
+    def __init__(self, values, t: float, value_bound: float):
+        sparse = sp.issparse(values)
+        if sparse:
+            values = sp.csr_matrix(values, dtype=np.float64, copy=True)
+            values.sum_duplicates()  # also sorts the indices
+            values.eliminate_zeros()
+            arrays = (values.data, values.indices, values.indptr)
+        else:
+            values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+            arrays = (values,)
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.shape[0]:
             raise ValueError("values must be a nonempty square matrix")
-        if not np.array_equal(values, values.T):
+        # sparse == would warn (it is true on every implicit zero); != is not
+        asymmetric = ((values != values.T).nnz if sparse
+                      else not np.array_equal(values, values.T))
+        if asymmetric:
             raise ValueError("values must be symmetric")
         if not (t > 0):
             raise ValueError("support length t must be positive")
         self.k = values.shape[0]
         self.t = float(t)
         self.values = values
-        self.values.setflags(write=False)
+        for a in arrays:
+            a.setflags(write=False)
         self.value_bound = float(value_bound)
         self._check_bound()
 
@@ -209,11 +218,12 @@ class _StepBase:
 
     @property
     def l1_norm(self) -> float:
-        return self.cell_width**2 * float(np.abs(self.values).sum())
+        return self.cell_width**2 * float(np.abs(_stored(self.values)).sum())
 
     @property
     def l2_norm(self) -> float:
-        return self.cell_width * math.sqrt(float((self.values**2).sum()))
+        # squared elementwise on an ndarray: on a sparse matrix ** is a matrix power
+        return self.cell_width * math.sqrt(float((_stored(self.values) ** 2).sum()))
 
     @property
     def support_length(self) -> float:
@@ -226,7 +236,7 @@ class _StepBase:
         inside = (x >= 0) & (x <= self.t) & (y >= 0) & (y <= self.t)
         i = np.clip((x / self.cell_width).astype(np.int64), 0, self.k - 1)
         j = np.clip((y / self.cell_width).astype(np.int64), 0, self.k - 1)
-        out = np.where(inside, self.values[i, j], 0.0)
+        out = np.where(inside, _at(self.values, i, j), 0.0)
         return out if out.ndim else float(out)
 
     def __repr__(self):
@@ -239,12 +249,15 @@ class StepGraphon(_StepBase):
     @property
     def l1_norm(self) -> float:
         # values are nonnegative: same sum as |values|, without a k x k copy
-        return self.cell_width**2 * float(self.values.sum())
+        return self.cell_width**2 * float(_stored(self.values).sum())
 
     def _check_bound(self):
-        if self.values.min() < 0:
+        # initial=0 counts the implicit zeros of a sparse matrix (and reads
+        # no stored value when there is none); it never moves a dense result
+        v = _stored(self.values)
+        if v.min(initial=0.0) < 0:
             raise ValueError("step graphon values must be nonnegative")
-        if self.values.max() > self.value_bound:
+        if v.max(initial=0.0) > self.value_bound:
             raise ValueError("value exceeds the stated bound")
 
 
@@ -252,7 +265,7 @@ class SignedStepGraphon(_StepBase):
     """Step graphon allowed to take negative values (differences W1 - W2)."""
 
     def _check_bound(self):
-        if np.abs(self.values).max() > self.value_bound:
+        if np.abs(_stored(self.values)).max(initial=0.0) > self.value_bound:
             raise ValueError("absolute value exceeds the stated bound")
 
 
@@ -359,7 +372,7 @@ def l1_restricted(w: GraphonSpec, t_m: float) -> float:
         if t_m >= w.t:
             return w.l1_norm
         h = w.cell_width
-        v = np.abs(w.values)
+        v = abs(w.values)
         full = int(t_m / h)
         fw = t_m - full * h  # width of the partially covered strip
         total = h * h * float(v[:full, :full].sum())
@@ -486,7 +499,7 @@ def canonical_graphon(g: Graph) -> StepGraphon:
     """
     if g.n == 0:
         raise EmptyGraphError("canonical graphon of the empty graph is undefined")
-    return StepGraphon(g.adjacency(sparse=False), 1.0, 1.0)
+    return StepGraphon(g.adjacency(), 1.0, 1.0)
 
 
 def normalized_graphon(g: Graph) -> StepGraphon:
@@ -497,12 +510,9 @@ def normalized_graphon(g: Graph) -> StepGraphon:
     bad = np.nonzero(d == 0)[0]
     if bad.size:
         raise IsolatedVertexError(f"vertex {int(bad[0])} is isolated")
-    values = np.zeros((g.n, g.n))
-    e = g.edge_array
-    if e.size:
-        w = 1.0 / (d[e[:, 0]] * d[e[:, 1]])
-        values[e[:, 0], e[:, 1]] = w
-        values[e[:, 1], e[:, 0]] = w
+    values = g.adjacency()
+    rows = np.repeat(np.arange(g.n), np.diff(values.indptr))
+    values.data = 1.0 / (d[rows] * d[values.indices])
     return StepGraphon(values, 1.0, 1.0)
 
 
@@ -608,10 +618,11 @@ def _on_uniform(w, k: int, span: float) -> np.ndarray:
 
     Each new cell reads the cell of ``w`` under its midpoint (zero beyond
     ``w``'s support), which is exact when the new grid refines ``w``'s;
-    ``w.values`` comes back untouched when ``w`` already sits on that grid.
+    ``w.values`` comes back untouched (densified if sparse) when ``w``
+    already sits on that grid.  The result is always a dense array.
     """
     if w.k == k and w.t == span:
-        return w.values
+        return _dense(w.values)
     idx = _cell_index(w, (np.arange(k) + 0.5) * (span / k))
     if w.values.ndim == 1:
         return np.where(idx >= 0, w.values[idx], 0.0)
@@ -626,14 +637,40 @@ def _cell_index(w: _StepBase, mids: np.ndarray) -> np.ndarray:
     return idx
 
 
+# Step values are an ndarray or a CSR matrix; these helpers are the only
+# places that tell the two apart.
+
+def _stored(values) -> np.ndarray:
+    """The entries that can be nonzero: a dense array itself, or the data of
+    a sparse matrix (every entry outside it is zero)."""
+    return values.data if sp.issparse(values) else values
+
+
+def _dense(values) -> np.ndarray:
+    """``values`` as an ndarray."""
+    return values.toarray() if sp.issparse(values) else values
+
+
+def _at(values, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Elementwise ``values[i, j]`` for broadcastable index arrays."""
+    if not sp.issparse(values):
+        return values[i, j]
+    i, j = np.broadcast_arrays(i, j)
+    # a (1, m) np.matrix, or a sparse (1, 0) matrix when no index is given
+    return np.asarray(_dense(values[i.ravel(), j.ravel()])).reshape(i.shape)
+
+
+def _block(values, rows, cols) -> np.ndarray:
+    """Dense ``values[rows][:, cols]`` for index sequences."""
+    return _dense(values[np.ix_(rows, cols)])
+
+
 def _lookup(values, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dense ``values[rows][:, cols]`` for index maps, zero where an index is
-    -1; ``values`` may be an array or a scipy.sparse matrix."""
+    """Dense ``values[rows][:, cols]`` for index maps, zero where an index is -1."""
     out = np.zeros((rows.size, cols.size))
     ri, ci = np.nonzero(rows >= 0)[0], np.nonzero(cols >= 0)[0]
     if ri.size and ci.size:
-        sub = values[np.ix_(rows[ri], cols[ci])]
-        out[np.ix_(ri, ci)] = sub.toarray() if sp.issparse(sub) else sub
+        out[np.ix_(ri, ci)] = _block(values, rows[ri], cols[ci])
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,17 +43,22 @@ EXACT_ALIGN_LIMIT = 8      # k! permutations
 
 @dataclass(frozen=True)
 class CutResult:
-    """Cut-norm value with the rectangle (cell subsets) attaining it."""
+    """Cut-norm value with the rectangle (cell subsets) attaining it.
+
+    ``capped_runs`` counts the heuristic runs still moving when the
+    iteration cap stopped them (always 0 in exact mode).
+    """
 
     value: float
     witness_rows: tuple
     witness_cols: tuple
     exact: bool
+    capped_runs: int = field(default=0, compare=False)
 
     def recompute(self, w) -> float:
         """Re-evaluate the bilinear objective at the stored witnesses."""
         area = (w.t / w.k) ** 2
-        return _evaluate(w.values[np.ix_(self.witness_rows, self.witness_cols)], area)
+        return _evaluate(core._block(w.values, self.witness_rows, self.witness_cols), area)
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,9 @@ def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
     (restart ``r`` in columns ``2r`` and ``2r + 1``), and a column freezes
     once its selection stops changing.  Cells with exactly zero marginal
     contribution are excluded, which makes the iteration deterministic
-    given the seed.  The first column of largest value wins.
+    given the seed.  The first column of largest value wins.  Returns the
+    witness rows and columns and the number of columns still active when
+    the 100-iteration cap ended the loop.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -153,7 +160,7 @@ def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
     best = int(np.argmax(np.abs((MS * T).sum(axis=0))))
     rows = [int(i) for i in np.nonzero(S[:, best])[0]]
     cols = [int(j) for j in np.nonzero(T[:, best])[0]]
-    return rows, cols
+    return rows, cols, int(active.size)
 
 
 def _evaluate(sub: np.ndarray, area: float) -> float:
@@ -178,12 +185,14 @@ def _cut(block, matmat, k: int, exact: bool, restarts: int, seed: int,
     heuristic mode runs on ``matmat`` with the ``0xC07`` substream of
     ``seed``.  The value is re-evaluated at the witness sets.
     """
+    capped = 0
     if exact:
         rows, cols = _bilinear_max_exact(block(np.arange(k), np.arange(k)))
     else:
-        rows, cols = _bilinear_max_heuristic(matmat, k, restarts, substream(seed, 0xC07))
+        rows, cols, capped = _bilinear_max_heuristic(matmat, k, restarts,
+                                                     substream(seed, 0xC07))
     value = _evaluate(block(rows, cols), area)
-    return CutResult(value, tuple(rows), tuple(cols), exact)
+    return CutResult(value, tuple(rows), tuple(cols), exact, capped)
 
 
 def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutResult:
@@ -199,7 +208,7 @@ def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutRe
         raise ResolutionTooLargeError(
             f"exact cut norm is limited to k <= {EXACT_CUT_LIMIT}, got {w.k}")
     M = w.values
-    return _cut(lambda r, c: M[np.ix_(r, c)], M.__matmul__, w.k, mode == "exact",
+    return _cut(lambda r, c: core._block(M, r, c), M.__matmul__, w.k, mode == "exact",
                 restarts, seed, (w.t / w.k) ** 2)
 
 
@@ -245,9 +254,10 @@ def _permute(values: np.ndarray, perm) -> np.ndarray:
     return values[np.ix_(p, p)]
 
 
-def _degree_sort_perm(values: np.ndarray) -> np.ndarray:
-    # stable sort on (-rowsum, index): deterministic tie handling
-    return np.argsort(-values.sum(axis=1), kind="stable")
+def _degree_sort_perm(values) -> np.ndarray:
+    # stable sort on (-rowsum, index): deterministic tie handling; a sparse
+    # matrix sums to an (n, 1) matrix
+    return np.argsort(-np.asarray(values.sum(axis=1)).ravel(), kind="stable")
 
 
 def _check_alignment_args(mode: str, iters: int, restarts: int) -> None:
@@ -278,13 +288,16 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
         raise ResolutionTooLargeError(
             f"common refinement of {w1.k} and {w2.k} cells is too large")
     return _align(core._on_uniform(w1, k, w1.t), core._on_uniform(w2, k, w1.t), w1.t,
-                  w1.value_bound + w2.value_bound, mode, iters, restarts, seed)
+                  w1.value_bound + w2.value_bound, mode, iters, restarts, seed)[0]
 
 
 def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
-           iters: int, restarts: int, seed: int) -> AlignmentResult:
+           iters: int, restarts: int, seed: int):
     """:func:`cut_distance_steps` on value matrices already lifted onto one
-    ``k``-cell grid over ``[0, t]``; ``bound`` bounds ``|va - vb|``."""
+    ``k``-cell grid over ``[0, t]``; ``bound`` bounds ``|va - vb|``.
+
+    Returns the result and the ``(name, CutResult)`` candidates it chose
+    from; the winner is the candidate whose cut the result holds."""
     k = va.shape[0]
 
     def diff(perm):
@@ -301,7 +314,7 @@ def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
             if best is None or cut.value < best[0].value:
                 best = (cut, perm)
         cut, perm = best
-        return AlignmentResult(cut.value, tuple(perm), True, cut)
+        return AlignmentResult(cut.value, tuple(perm), True, cut), [("exact", cut)]
 
     cut_mode = "exact" if k <= EXACT_CUT_LIMIT else "heuristic"
 
@@ -316,8 +329,9 @@ def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
     rank2[p2] = np.arange(k)
     sorted_perm = p1[rank2]
 
-    candidates = [(score(identity), identity), (score(sorted_perm), sorted_perm)]
-    best_cut, best_perm = min(candidates, key=lambda cp: cp[0].value)
+    tried = [(score(identity), identity), (score(sorted_perm), sorted_perm)]
+    best_cut, best_perm = min(tried, key=lambda cp: cp[0].value)
+    candidates = [("identity", tried[0][0]), ("degree_sort", tried[1][0])]
 
     if mode == "local_search":
         # Rounding bound m, with u = eps/2 and A = sum|va| + sum|vb|, which
@@ -363,9 +377,10 @@ def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
             "%d swaps accepted", k, passes * k * (k - 1) // 2, pruned, evaluated,
             cut_mode, accepted)
         best_cut, best_perm = current, perm
+        candidates.append(("local_search", current))
 
     return AlignmentResult(best_cut.value, tuple(int(i) for i in best_perm),
-                           best_cut.exact, best_cut)
+                           best_cut.exact, best_cut), candidates
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +411,11 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     k = core._refinement(T, a, b)
     if k is not None:
         try:
-            return _align(core._on_uniform(a, k, T), core._on_uniform(b, k, T), T,
-                          a.value_bound + b.value_bound, mode, iters, restarts, seed)
+            res, candidates = _align(core._on_uniform(a, k, T), core._on_uniform(b, k, T),
+                                     T, a.value_bound + b.value_bound, mode, iters,
+                                     restarts, seed)
+            _log_candidates("uniform", k, candidates, res.cut)
+            return res
         except ResolutionTooLargeError:
             pass  # exact alignment needs k <= 8: fall through to the union grid
 
@@ -406,14 +424,28 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     widths, ia, ib = core.union_grid(a, b)
     Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
     exact = mode == "exact" and widths.size <= EXACT_CUT_LIMIT
-    kernels = [_UnionKernel(widths, Va, ia, Vb, ib)]
+    kernels = [("identity", _UnionKernel(widths, Va, ia, Vb, ib))]
     if mode != "exact":
         pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
-        kernels.append(_UnionKernel(widths, Va, _relabel(ia, pa), Vb, _relabel(ib, pb)))
-    cut = min((_cut(kern.block, kern.matmat, widths.size, exact, restarts, seed)
-               for kern in kernels),
-              key=lambda c: c.value)
+        kernels.append(("degree_sort", _UnionKernel(widths, Va, _relabel(ia, pa),
+                                                    Vb, _relabel(ib, pb))))
+    candidates = [(name, _cut(kern.block, kern.matmat, widths.size, exact, restarts, seed))
+                  for name, kern in kernels]
+    cut = min((c for _, c in candidates), key=lambda c: c.value)
+    _log_candidates("union", widths.size, candidates, cut)
     return AlignmentResult(cut.value, None, False, cut)
+
+
+def _log_candidates(grid: str, cells: int, candidates, winner: CutResult) -> None:
+    """One DEBUG record: the grid, every candidate's cut value, the winner
+    and the heuristic runs the iteration cap stopped."""
+    log = logging.getLogger(__name__)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("stretched cut distance on the %s grid of %d cells: %s; %s won; "
+                  "%d heuristic runs stopped at the iteration cap", grid, cells,
+                  ", ".join(f"{name} {cut.value!r}" for name, cut in candidates),
+                  next(name for name, cut in candidates if cut is winner),
+                  sum(cut.capped_runs for _, cut in candidates))
 
 
 def _relabel(idx: np.ndarray, perm: np.ndarray) -> np.ndarray:

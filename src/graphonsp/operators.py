@@ -101,7 +101,7 @@ class GraphonOperator:
         """Symmetric matrix acting on cell-value vectors of the operator grid."""
         if not self.is_step:
             raise StepRequiredError("rank-one kernels have no finite matrix")
-        return self.kernel.values * self.kernel.cell_width
+        return core._dense(self.kernel.values) * self.kernel.cell_width
 
     def __call__(self, f: StepSignal) -> StepSignal:
         return apply(self, f)

@@ -68,7 +68,7 @@ class FitReport:
 
 def _as_matrix(obj):
     if isinstance(obj, Graph):
-        return obj.adjacency(sparse=True)
+        return obj.adjacency()
     if sp.issparse(obj):
         return obj.tocsr()
     m = np.asarray(obj, dtype=np.float64)

@@ -307,9 +307,19 @@ class TestDeterminism:
         with caplog.at_level(logging.DEBUG, logger="graphonsp"):
             cmd_cutdist(cfg, *paths, tmp_path / "debug")
         assert any("local search" in r.getMessage() for r in caplog.records)
-        for name in ("cutdist.json", "manifest.json"):
-            assert ((tmp_path / "quiet" / name).read_bytes()
-                    == (tmp_path / "debug" / name).read_bytes())
+        assert any("uniform grid of 8 cells" in r.getMessage() for r in caplog.records)
+        # a graph against the unit square takes the union grid
+        union_cfg = RunConfig(seed=3, cut_restarts=8)
+        cmd_cutdist(union_cfg, small_graph_file(tmp_path), "celebrity",
+                    tmp_path / "union-quiet")
+        with caplog.at_level(logging.DEBUG, logger="graphonsp"):
+            cmd_cutdist(union_cfg, small_graph_file(tmp_path), "celebrity",
+                        tmp_path / "union-debug")
+        assert any("union grid" in r.getMessage() for r in caplog.records)
+        for quiet, debug in (("quiet", "debug"), ("union-quiet", "union-debug")):
+            for name in ("cutdist.json", "manifest.json"):
+                assert ((tmp_path / quiet / name).read_bytes()
+                        == (tmp_path / debug / name).read_bytes())
 
     def test_sample_outputs_do_not_depend_on_debug_logging(self, tmp_path, caplog):
         cfg = RunConfig(seed=3, t_schedule=[1.0, 2.0], n_schedule=[20, 40],

@@ -94,7 +94,7 @@ class TestCanonicalGraphon:
     def test_values_match_adjacency(self):
         g = gsp.Graph(5, [(0, 4), (2, 3)])
         w = gsp.canonical_graphon(g)
-        assert np.array_equal(w.values, g.adjacency(sparse=False))
+        assert np.array_equal(w.values.toarray(), g.adjacency().toarray())
 
 
 class TestNormalizedGraphon:

@@ -244,6 +244,15 @@ class TestCutDistance:
         assert pruned + evaluated == trials
         assert accepted <= evaluated
 
+    def test_heuristic_counts_runs_stopped_by_the_cap(self):
+        # a kernel whose products are fresh noise never lets a run settle
+        noise = np.random.default_rng(2)
+        rows, cols, capped = cutmetric._bilinear_max_heuristic(
+            lambda X: noise.standard_normal(X.shape), 30, 3, substream(0, 1))
+        assert capped == 6
+        w = random_step_graphon(5, k=30, t=1.0, signed=True)
+        assert gsp.cut_norm(w, mode="heuristic", restarts=4).capped_runs == 0
+
     def test_nonpositive_restarts_rejected(self):
         a = random_step_graphon(1, k=4, t=1.0)
         b = random_step_graphon(2, k=4, t=1.0)
@@ -426,6 +435,39 @@ class TestStretchedCutDistance:
             q = quadrature_l1_between(stretched_clique(k), unit_square)
             assert q == pytest.approx(dense_core_stretched_l1(k), abs=1e-3)
             assert abs(q - 2.0 / (k - 1)) > 5e-3
+
+
+class TestStretchedDistanceLog:
+    @staticmethod
+    def record(caplog, *args, **kwargs):
+        caplog.set_level(logging.DEBUG, logger="graphonsp")
+        res = gsp.stretched_cut_distance(*args, **kwargs)
+        (rec,) = [r for r in caplog.records if r.name == "graphonsp.cutmetric"
+                  and r.getMessage().startswith("stretched cut distance")]
+        return res, rec.args
+
+    def test_union_path_names_candidates_and_winner(self, caplog):
+        w = gsp.canonical_graphon(scrambled_dense_core(400))
+        res, (grid, cells, values, winner, capped) = self.record(
+            caplog, w, gsp.CelebrityLimit(), restarts=8)
+        U = union_grid(gsp.stretch(w)[0], gsp.as_step(gsp.CelebrityLimit()))[0].size
+        assert (grid, cells) == ("union", U)
+        assert values.startswith("identity ") and ", degree_sort " in values
+        assert winner == "degree_sort" and f"degree_sort {res.distance!r}" in values
+        assert capped == 0
+
+    def test_uniform_path_names_candidates_and_winner(self, caplog):
+        # equal edge counts: one stretched support
+        rng = np.random.default_rng(4)
+        a, b = (gsp.StepGraphon(two_block_adjacency(rng, 8, 10, 3), 1.0, 1.0)
+                for _ in range(2))
+        res, (grid, cells, values, winner, capped) = self.record(
+            caplog, a, b, mode="local_search", seed=3)
+        assert (grid, cells) == ("uniform", 8)
+        names = [item.split(" ")[0] for item in values.split(", ")]
+        assert names == ["identity", "degree_sort", "local_search"]
+        assert winner in names and f"{winner} {res.distance!r}" in values
+        assert capped == 0
 
 
 class TestUnionKernel:

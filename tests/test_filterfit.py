@@ -30,7 +30,7 @@ class TestSynthesizeDiffusion:
         f = np.zeros(4)
         f[1] = 1.0
         out = apply_adjacency_polynomial(g, (0.0, 1.0), f)
-        assert np.allclose(out, g.adjacency(sparse=False)[:, 1])
+        assert np.allclose(out, g.adjacency().toarray()[:, 1])
 
     def test_k4_hand_computation(self):
         # A(K4)^2 = 3I + 2A, so (I + A + A^2) e0 = (4, 3, 3, 3)
@@ -193,7 +193,7 @@ class TestPredictHelper:
         y = rng.random(40)
         fit = gsp.fit_filter(f, y, g, d=2, scaling="generalized")
         pred = fit.predict(g, f)
-        A = g.adjacency(sparse=False)
+        A = g.adjacency().toarray()
         S = A / fit.scale
         c = fit.filter.coefficients
         expect = c[0] * f + c[1] * (S @ f) + c[2] * (S @ S @ f)

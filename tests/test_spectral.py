@@ -166,7 +166,7 @@ class TestScaledSpectrum:
     def test_graph_smaller_than_both_ends(self, t_range):
         g = complete_graph(3)
         out = gsp.scaled_spectrum(g, t_range)
-        vals = np.linalg.eigvalsh(g.adjacency(sparse=False)) / math.sqrt(6.0)
+        vals = np.linalg.eigvalsh(g.adjacency().toarray()) / math.sqrt(6.0)
         for t in t_range:
             expect = 0.0 if abs(t) > 3 else (vals[-t] if t > 0 else vals[-t - 1])
             assert out[t] == pytest.approx(expect, abs=1e-12)
@@ -211,7 +211,7 @@ class TestTrajectory:
         # the ends overlap: each t-th eigenvalue from its end, 0 beyond n
         t_set = [-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]
         lams = gsp.trajectory([g], t_set)[0].eigenvalues
-        vals = np.linalg.eigvalsh(g.adjacency(sparse=False))
+        vals = np.linalg.eigvalsh(g.adjacency().toarray())
         for t in t_set:
             if abs(t) > g.n:
                 assert lams[t] == 0.0
