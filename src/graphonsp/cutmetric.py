@@ -65,9 +65,9 @@ class CutResult:
 class AlignmentResult:
     """Cut distance under the best relabeling found.
 
-    ``permutation`` maps new index -> old index of the first argument; it is
-    ``None`` when the comparison grid does not support cell permutations
-    (nonuniform exact grids), in which case the identity alignment was used.
+    ``permutation`` maps new index -> old index of the first argument's
+    cells on the comparison grid, in the second's frame; it is ``None`` on
+    the union of two different grids, where no permutation relates them.
     """
 
     distance: float
@@ -277,24 +277,38 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
     ``degree_sort`` aligns cells by descending row sums; ``local_search``
     improves degree_sort with pairwise swaps for ``iters`` passes.  Every
     mode also evaluates the identity alignment, so the result never exceeds
-    the unaligned cut norm.
+    the unaligned cut norm.  Grids as in :func:`stretched_cut_distance`.
     """
     _check_alignment_args(mode, iters, restarts)
     if w1.t != w2.t:
         raise SupportMismatchError(
             f"supports differ: {w1.t!r} vs {w2.t!r}; refine or pad first")
     k = core._refinement(w1.t, w1, w2)
-    if k is None:
+    if mode == "exact" and (k is None or k > EXACT_ALIGN_LIMIT):
         raise ResolutionTooLargeError(
-            f"common refinement of {w1.k} and {w2.k} cells is too large")
-    return _align(core._on_uniform(w1, k, w1.t), core._on_uniform(w2, k, w1.t), w1.t,
-                  w1.value_bound + w2.value_bound, mode, iters, restarts, seed)[0]
+            f"exact alignment is limited to a refinement of k <= {EXACT_ALIGN_LIMIT} cells")
+    return _compare(w1, w2, w1.t, mode, iters, restarts, seed)
+
+
+def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
+             seed: int) -> AlignmentResult:
+    """The grid rule of both cut distances, for step graphons on ``[0, T]``:
+    lift onto the coarsest common uniform refinement only when its cut norm
+    is exact (``k <= 22``; ``k <= 8`` for exact alignment), else use
+    :func:`_union`."""
+    k = core._refinement(T, a, b)
+    if k is None or k > (EXACT_ALIGN_LIMIT if mode == "exact" else EXACT_CUT_LIMIT):
+        return _union(a, b, mode, restarts, seed)
+    res, candidates = _align(core._on_uniform(a, k, T), core._on_uniform(b, k, T), T,
+                             a.value_bound + b.value_bound, mode, iters, restarts, seed)
+    _log_candidates("uniform", k, candidates, res.cut)
+    return res
 
 
 def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
            iters: int, restarts: int, seed: int):
-    """:func:`cut_distance_steps` on value matrices already lifted onto one
-    ``k``-cell grid over ``[0, t]``; ``bound`` bounds ``|va - vb|``.
+    """Cut distance, by exact cut norms, of value matrices already lifted onto
+    one ``k``-cell grid over ``[0, t]``; ``bound`` bounds ``|va - vb|``.
 
     Returns the result and the ``(name, CutResult)`` candidates it chose
     from; the winner is the candidate whose cut the result holds."""
@@ -305,31 +319,13 @@ def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
                                  bound if bound > 0 else 1.0)
 
     if mode == "exact":
-        if k > EXACT_ALIGN_LIMIT:
-            raise ResolutionTooLargeError(
-                f"exact alignment is limited to k <= {EXACT_ALIGN_LIMIT}, got {k}")
-        best = None
-        for perm in itertools.permutations(range(k)):
-            cut = cut_norm(diff(perm), mode="exact")
-            if best is None or cut.value < best[0].value:
-                best = (cut, perm)
-        cut, perm = best
+        cut, perm = min(((cut_norm(diff(p)), p) for p in itertools.permutations(range(k))),
+                        key=lambda cp: cp[0].value)
         return AlignmentResult(cut.value, tuple(perm), True, cut), [("exact", cut)]
 
-    cut_mode = "exact" if k <= EXACT_CUT_LIMIT else "heuristic"
-
-    def score(perm):
-        return cut_norm(diff(perm), mode=cut_mode, restarts=restarts, seed=seed)
-
-    identity = np.arange(k)
-    p1 = _degree_sort_perm(va)
-    p2 = _degree_sort_perm(vb)
-    # align sorted orders: new frame is vb's; va cell order chased through vb's
-    rank2 = np.empty(k, dtype=np.int64)
-    rank2[p2] = np.arange(k)
-    sorted_perm = p1[rank2]
-
-    tried = [(score(identity), identity), (score(sorted_perm), sorted_perm)]
+    # both sorted by degree, va's order chased into vb's frame
+    sorted_perm = _degree_sort_perm(va)[np.argsort(_degree_sort_perm(vb))]
+    tried = [(cut_norm(diff(p)), p) for p in (np.arange(k), sorted_perm)]
     best_cut, best_perm = min(tried, key=lambda cp: cp[0].value)
     candidates = [("identity", tried[0][0]), ("degree_sort", tried[1][0])]
 
@@ -357,13 +353,12 @@ def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
                 for j in range(i + 1, k):
                     perm[i], perm[j] = perm[j], perm[i]
                     d = diff(perm)
-                    if cut_mode == "exact" and cut_norm(
-                            d, mode="heuristic", restarts=restarts,
-                            seed=seed).value > current.value - m:
+                    if cut_norm(d, mode="heuristic", restarts=restarts,
+                                seed=seed).value > current.value - m:
                         pruned += 1
                     else:
                         evaluated += 1
-                        trial = cut_norm(d, mode=cut_mode, restarts=restarts, seed=seed)
+                        trial = cut_norm(d)
                         if trial.value < current.value - 2 * m:
                             current = trial
                             improved = True
@@ -373,14 +368,44 @@ def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
             if not improved:
                 break
         logging.getLogger(__name__).debug(
-            "local search on %d cells: %d trials, %d pruned, %d %s evaluations, "
-            "%d swaps accepted", k, passes * k * (k - 1) // 2, pruned, evaluated,
-            cut_mode, accepted)
+            "local search on %d cells: %d trials, %d pruned, %d exact evaluations, "
+            "%d swaps accepted", k, passes * k * (k - 1) // 2, pruned, evaluated, accepted)
         best_cut, best_perm = current, perm
         candidates.append(("local_search", current))
 
     return AlignmentResult(best_cut.value, tuple(int(i) for i in best_perm),
-                           best_cut.exact, best_cut), candidates
+                           True, best_cut), candidates
+
+
+def _union(a, b, mode: str, restarts: int, seed: int) -> AlignmentResult:
+    """Cut distance with the difference applied exactly, as an implicit
+    operator, on the union grid.  Only the identity and (outside exact mode)
+    both inputs sorted by degree are tried, an upper bound on the relabeled
+    distance, so the result is flagged ``exact=False``.  On one shared grid
+    the relabeling is a cell permutation, reported in ``b``'s frame."""
+    # union_grid(a, a) can end in a sliver cell when k * (t / k) rounds below t
+    one_grid = a.k == b.k and a.t == b.t
+    widths, ia, ib = ((np.full(a.k, a.cell_width), np.arange(a.k), np.arange(a.k))
+                      if one_grid else core.union_grid(a, b))
+    U = widths.size
+    Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
+    maps = [("identity", ia, ib)]
+    if mode != "exact":
+        # each input's own cells are equal-measure, so sorting them by row
+        # sum is a valid relabeling even though the union grid is nonuniform
+        pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
+        if one_grid:  # chase a's sorted cells into b's frame
+            pa, pb = pa[np.argsort(pb)], ib
+        maps.append(("degree_sort", _relabel(ia, pa), _relabel(ib, pb)))
+    exact = mode == "exact" and U <= EXACT_CUT_LIMIT
+    kernels = [(name, _UnionKernel(widths, Va, ja, Vb, jb)) for name, ja, jb in maps]
+    candidates = [(name, _cut(kern.block, kern.matmat, U, exact, restarts, seed))
+                  for name, kern in kernels]
+    win = int(np.argmin([cut.value for _, cut in candidates]))
+    cut = candidates[win][1]
+    _log_candidates("union", U, candidates, cut)
+    perm = tuple(int(i) for i in maps[win][1]) if one_grid else None
+    return AlignmentResult(cut.value, perm, False, cut)
 
 
 # ---------------------------------------------------------------------------
@@ -393,47 +418,20 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     """Cut distance between the stretched versions of two graphons.
 
     Both inputs are stretched to unit 1-norm.  When their grids share a
-    uniform refinement of ``[0, max(t1, t2)]`` (see ``core._refinement``),
-    both are lifted onto it, zero beyond the shorter support, and compared
-    as in :func:`cut_distance_steps`.  Otherwise the difference is applied
-    exactly, as an implicit operator, on the nonuniform union grid; there
-    only the identity alignment and (outside exact mode) both inputs sorted
-    by degree are evaluated, an upper bound on the relabeled distance, and
-    the result is flagged ``exact=False``.
+    uniform refinement of ``[0, max(t1, t2)]`` (see ``core._refinement``) of
+    at most 22 cells (8 in exact mode), both are lifted onto it, zero beyond
+    the shorter support, and every alignment is scored by an exact cut norm.
+    Otherwise the difference is applied exactly, as an implicit operator, on
+    the (possibly nonuniform) union grid, where ``local_search`` evaluates
+    the same two candidates as ``degree_sort``.  One DEBUG record names the
+    grid, every candidate's cut value and the winner.
     """
     _check_alignment_args(mode, iters, restarts)
     s1, _ = stretch(_to_spec(w1))
     s2, _ = stretch(_to_spec(w2))
     a = core.as_step(s1, resolution=resolution)
     b = core.as_step(s2, resolution=resolution)
-
-    T = max(a.t, b.t)
-    k = core._refinement(T, a, b)
-    if k is not None:
-        try:
-            res, candidates = _align(core._on_uniform(a, k, T), core._on_uniform(b, k, T),
-                                     T, a.value_bound + b.value_bound, mode, iters,
-                                     restarts, seed)
-            _log_candidates("uniform", k, candidates, res.cut)
-            return res
-        except ResolutionTooLargeError:
-            pass  # exact alignment needs k <= 8: fall through to the union grid
-
-    # each input's own cells are equal-measure, so sorting them by row sum
-    # is a valid relabeling even though the union grid is nonuniform
-    widths, ia, ib = core.union_grid(a, b)
-    Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
-    exact = mode == "exact" and widths.size <= EXACT_CUT_LIMIT
-    kernels = [("identity", _UnionKernel(widths, Va, ia, Vb, ib))]
-    if mode != "exact":
-        pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
-        kernels.append(("degree_sort", _UnionKernel(widths, Va, _relabel(ia, pa),
-                                                    Vb, _relabel(ib, pb))))
-    candidates = [(name, _cut(kern.block, kern.matmat, widths.size, exact, restarts, seed))
-                  for name, kern in kernels]
-    cut = min((c for _, c in candidates), key=lambda c: c.value)
-    _log_candidates("union", widths.size, candidates, cut)
-    return AlignmentResult(cut.value, None, False, cut)
+    return _compare(a, b, max(a.t, b.t), mode, iters, restarts, seed)
 
 
 def _log_candidates(grid: str, cells: int, candidates, winner: CutResult) -> None:
@@ -441,7 +439,7 @@ def _log_candidates(grid: str, cells: int, candidates, winner: CutResult) -> Non
     and the heuristic runs the iteration cap stopped."""
     log = logging.getLogger(__name__)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("stretched cut distance on the %s grid of %d cells: %s; %s won; "
+        log.debug("cut distance on the %s grid of %d cells: %s; %s won; "
                   "%d heuristic runs stopped at the iteration cap", grid, cells,
                   ", ".join(f"{name} {cut.value!r}" for name, cut in candidates),
                   next(name for name, cut in candidates if cut is winner),

@@ -244,7 +244,7 @@ def apply_spectral(h: SpectralFilter, op: GraphonOperator, f: StepSignal,
     k = op.kernel
     if k_eigs < 1 or k_eigs > k.k:
         raise ValueError("k_eigs must lie in [1, grid size]")
-    K = op.matrix()
+    K = k.values * k.cell_width   # CSR stays CSR: eigensolve takes either
     h_cell = k.cell_width
     edges = np.arange(k.k + 1) * h_cell
     fbar = _cell_integrals(f, edges) / h_cell   # cell means on the operator grid
@@ -275,7 +275,7 @@ def chebyshev_polynomial_apply(h: SpectralFilter, op: GraphonOperator,
     a, b = h.interval
     edges = np.arange(k.k + 1) * k.cell_width
     fbar = _cell_integrals(f, edges) / k.cell_width
-    K = op.matrix()
+    K = k.values * k.cell_width   # CSR stays CSR
 
     def u(vec):
         return (2.0 * (K @ vec) - (a + b) * vec) / (b - a)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphonsp as gsp
-from graphonsp import cutmetric
+from graphonsp import core, cutmetric
 from graphonsp.core import union_grid
 from graphonsp.cutmetric import _degree_sort_perm, _relabel, _UnionKernel
 from graphonsp.errors import ResolutionTooLargeError, SupportMismatchError
@@ -49,6 +49,15 @@ def scrambled_dense_core(n=2000):
 
 def permuted(w, perm):
     return type(w)(w.values[np.ix_(perm, perm)], w.t, w.value_bound)
+
+
+def equal_count_pair(seed, n, m):
+    """Canonical graphons of two random graphs with ``n`` vertices and ``m``
+    edges each: one grid, and one support once stretched."""
+    rng = substream(seed, 0x6A1D)
+    iu = np.column_stack(np.triu_indices(n, 1))
+    return [gsp.canonical_graphon(gsp.Graph(n, iu[rng.choice(len(iu), m, replace=False)]))
+            for _ in range(2)]
 
 
 def dense_union_kernel(a, b):
@@ -238,9 +247,10 @@ class TestCutDistance:
         a = random_step_graphon(3, k=6, t=1.0)
         b = random_step_graphon(4, k=6, t=1.0)
         gsp.cut_distance_steps(a, b, mode="local_search", iters=2, seed=3)
-        (rec,) = [r for r in caplog.records if r.name == "graphonsp.cutmetric"]
-        k, trials, pruned, evaluated, cut_mode, accepted = rec.args
-        assert (k, cut_mode) == (6, "exact") and trials in (15, 30)
+        (rec,) = [r for r in caplog.records if r.name == "graphonsp.cutmetric"
+                  and r.getMessage().startswith("local search")]
+        k, trials, pruned, evaluated, accepted = rec.args
+        assert k == 6 and trials in (15, 30)
         assert pruned + evaluated == trials
         assert accepted <= evaluated
 
@@ -443,7 +453,7 @@ class TestStretchedDistanceLog:
         caplog.set_level(logging.DEBUG, logger="graphonsp")
         res = gsp.stretched_cut_distance(*args, **kwargs)
         (rec,) = [r for r in caplog.records if r.name == "graphonsp.cutmetric"
-                  and r.getMessage().startswith("stretched cut distance")]
+                  and r.getMessage().startswith("cut distance on the")]
         return res, rec.args
 
     def test_union_path_names_candidates_and_winner(self, caplog):
@@ -468,6 +478,88 @@ class TestStretchedDistanceLog:
         assert names == ["identity", "degree_sort", "local_search"]
         assert winner in names and f"{winner} {res.distance!r}" in values
         assert capped == 0
+
+
+class TestGridRule:
+    DISTANCES = [gsp.cut_distance_steps, gsp.stretched_cut_distance]
+
+    @pytest.fixture
+    def lifts(self, monkeypatch, caplog):
+        """Cell counts of every lift onto a uniform grid, and the grid of
+        every cut distance from its DEBUG record."""
+        caplog.set_level(logging.DEBUG, logger="graphonsp")
+        calls = []
+        lift = core._on_uniform
+        monkeypatch.setattr(core, "_on_uniform",
+                            lambda w, k, span: calls.append(k) or lift(w, k, span))
+        return calls, lambda: [r.args[:2] for r in caplog.records
+                               if r.getMessage().startswith("cut distance on the")]
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_equal_edge_counts_take_the_union_grid(self, distance, lifts):
+        calls, grids = lifts
+        a, b = equal_count_pair(1, 60, 200)
+        ds = distance(a, b, mode="degree_sort", restarts=8, seed=1)
+        ls = distance(a, b, mode="local_search", restarts=8, seed=1)
+        assert calls == [] and grids() == [("union", 60)] * 2
+        assert ds.permutation is not None and sorted(ds.permutation) == list(range(60))
+        assert ls == ds
+
+    @pytest.mark.parametrize("n, grid", [(22, "uniform"), (23, "union")])
+    def test_only_exact_cut_grids_are_lifted(self, n, grid, lifts):
+        calls, grids = lifts
+        a, b = equal_count_pair(2, n, 40)
+        for distance in self.DISTANCES:
+            res = distance(a, b, mode="degree_sort", restarts=8)
+            assert res.exact == (grid == "uniform") and res.permutation is not None
+        assert calls == ([n] * 4 if grid == "uniform" else [])
+        assert grids() == [(grid, n)] * 2
+
+    def test_exact_alignment_above_eight_cells(self, lifts):
+        # cut_distance_steps refuses; stretched, the identity alone is cut
+        # exactly on the union grid, as long as that has at most 22 cells
+        calls, grids = lifts
+        for n in (9, 22, 23):
+            a, b = equal_count_pair(3, n, 30)
+            with pytest.raises(ResolutionTooLargeError):
+                gsp.cut_distance_steps(a, b, mode="exact")
+            res = gsp.stretched_cut_distance(a, b, mode="exact")
+            assert not res.exact and res.cut.exact == (n <= 22)
+            assert res.permutation == tuple(range(n))
+        assert calls == [] and grids() == [("union", n) for n in (9, 22, 23)]
+
+    def test_graph_against_its_relabeled_copy_stays_sparse(self):
+        # one support and n cells: lifted, both n x n value arrays alone
+        # would take 8 n^2 bytes each
+        n = 3000
+        g = gsp.core_periphery_graph(n, 0.5, 0.5, 1)
+        perm = substream(5, 1).permutation(n)
+        a, b = (gsp.canonical_graphon(h) for h in (g, gsp.Graph(n, perm[g.edge_array])))
+        tracemalloc.start()
+        try:
+            res = gsp.stretched_cut_distance(a, b, restarts=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.permutation is not None and peak < 8 * n**2 / 4
+
+    def test_union_permutation_and_witness_index_the_second_input(self):
+        # b is a relabeled with one edge moved: degree sort wins, and its
+        # permutation and witness give the cut value on b's own cells, as a
+        # uniform-grid result's do
+        a, _ = equal_count_pair(4, 60, 200)
+        perm = substream(4, 0x9E).permutation(60)
+        B = a.values.toarray()[np.ix_(perm, perm)]
+        (i, j), (u, v) = np.argwhere(np.triu(B) > 0)[0], np.argwhere(np.triu(B == 0, 1))[0]
+        B[i, j] = B[j, i] = 0.0
+        B[u, v] = B[v, u] = 1.0
+        b = gsp.StepGraphon(sp.csr_matrix(B), 1.0, 1.0)
+        res = gsp.cut_distance_steps(a, b, mode="degree_sort", restarts=8)
+        assert res.permutation != tuple(range(60)) and res.distance > 0.0
+        p = list(res.permutation)
+        M = (a.values.toarray()[np.ix_(p, p)] - B) * (a.cell_width * a.cell_width)
+        assert res.cut.value == sorted_cut_value(M, res.cut.witness_rows,
+                                                 res.cut.witness_cols)
 
 
 class TestUnionKernel:

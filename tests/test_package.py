@@ -1,7 +1,9 @@
+import ast
 import importlib
 import inspect
 import pkgutil
 import sys
+from pathlib import Path
 
 import graphonsp as gsp
 
@@ -24,3 +26,25 @@ def test_exported_names_resolve():
         assert getattr(home, name, None) is obj, f"{name} does not resolve in {home.__name__}"
         assert name in getattr(home, "__all__", [name]), \
             f"{name} is missing from {home.__name__}.__all__"
+
+
+def test_no_unused_module_imports():
+    # a deletion that leaves its import behind fails here; a name is used
+    # when some expression reads it or the module's __all__ lists it
+    for path in sorted(Path(gsp.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, exported = {}, set()
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused = sorted(set(imported) - used - exported)
+        assert not unused, f"{path.name}: unused imports " + ", ".join(
+            f"{name} (line {imported[name]})" for name in unused)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import graphonsp as gsp  # noqa: E402
@@ -104,6 +104,26 @@ def test_stretched_cut_distance_ignores_domain_rescaling(w, z, j, mode):
     rescaled = gsp.StepGraphon(w.values, w.t / 2.0**j, w.value_bound)
     assert (gsp.stretched_cut_distance(rescaled, z, mode=mode, restarts=4)
             == gsp.stretched_cut_distance(w, z, mode=mode, restarts=4))
+
+
+@st.composite
+def graphs_with_an_edge(draw, nmax=60):
+    n = draw(st.integers(2, nmax))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), min_size=1, max_size=2 * n))
+    return gsp.Graph(n, pairs)
+
+
+# the largest grid lifted onto a uniform refinement, and the smallest that is not
+@settings(PROPERTY, max_examples=30)
+@given(g=graphs_with_an_edge(), mode=st.sampled_from(["degree_sort", "local_search"]))
+@example(g=gsp.Graph(22, [(0, 1), (1, 2)]), mode="local_search")
+@example(g=gsp.Graph(23, [(0, 1), (1, 2)]), mode="local_search")
+def test_self_distance_is_zero_with_a_permutation(g, mode):
+    w = gsp.canonical_graphon(g)
+    for distance in (gsp.stretched_cut_distance, gsp.cut_distance_steps):
+        res = distance(w, w, mode=mode, restarts=4)
+        assert res.distance == 0.0 and res.permutation is not None
 
 
 @PROPERTY

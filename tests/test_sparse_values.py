@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphonsp as gsp
+from graphonsp.operators import chebyshev_polynomial_apply
 from graphonsp.rng import substream
 
 
@@ -26,6 +27,14 @@ def pair(seed, n, m, t=1.0):
     """The same random adjacency as a CSR-valued and a dense-valued graphon."""
     A = random_graph(seed, n, m).adjacency()
     return gsp.StepGraphon(A, t, 1.0), gsp.StepGraphon(A.toarray(), t, 1.0)
+
+
+def ring_with_chords(n):
+    """A cycle plus random chords: no isolated vertex, about ``2 n`` edges."""
+    rng = substream(3, 0xC1C)
+    ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+    chords = rng.integers(0, n, (n, 2))
+    return gsp.Graph(n, np.vstack([ring, chords[chords[:, 0] != chords[:, 1]]]))
 
 
 SEEDS = range(6)
@@ -181,14 +190,27 @@ class TestReadersAgree:
             assert rs.permutation is None
 
 
+class TestFiltersOnStoredValues:
+    # n = 40 takes LAPACK's full decomposition, n = 400 ARPACK's two ends
+    @pytest.mark.parametrize("n, k_eigs", [(40, 40), (400, 8)])
+    def test_csr_and_dense_kernels_agree_on_both_routes(self, n, k_eigs):
+        s, d = pair(n, n, 3 * n)
+        ops, opd = (gsp.GraphonOperator.from_spec(w) for w in (s, d))
+        assert isinstance(ops.kernel.values, sp.csr_matrix)
+        b = ops.norm_bound
+        h = gsp.SpectralFilter.fit(lambda x: x * np.exp(x / b), (-b, b), degree=30,
+                                   tolerance=1e-10)
+        f = gsp.StepSignal(substream(n, 0xF17).standard_normal(n), ops.kernel.t)
+        for route in (lambda op: gsp.apply_spectral(h, op, f, k_eigs=k_eigs)[0],
+                      lambda op: chebyshev_polynomial_apply(h, op, f)):
+            got, want = route(ops).values, route(opd).values
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestSparseMemory:
     def test_embeddings_never_allocate_n_squared(self):
-        # a cycle plus random chords: no isolated vertex, about 2n edges
         n = 20000
-        rng = substream(3, 0xC1C)
-        ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
-        chords = rng.integers(0, n, (n, 2))
-        g = gsp.Graph(n, np.vstack([ring, chords[chords[:, 0] != chords[:, 1]]]))
+        g = ring_with_chords(n)
         for embed in (gsp.canonical_graphon, gsp.normalized_graphon):
             tracemalloc.start()
             try:
@@ -198,6 +220,21 @@ class TestSparseMemory:
                 tracemalloc.stop()
             assert w.k == n and w.values.nnz == 2 * g.edge_count
             assert peak < 8 * n**2 / 100
+
+    def test_chebyshev_filter_never_allocates_n_squared(self):
+        n = 20000
+        op = gsp.GraphonOperator.from_spec(gsp.canonical_graphon(ring_with_chords(n)))
+        b = op.norm_bound
+        h = gsp.SpectralFilter.fit(lambda x: np.sin(x / b), (-b, b), degree=20)
+        f = gsp.StepSignal(substream(4, 0xC1C).standard_normal(n), op.kernel.t)
+        tracemalloc.start()
+        try:
+            out = chebyshev_polynomial_apply(h, op, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.k == n and np.all(np.isfinite(out.values))
+        assert peak < 8 * n**2 / 100
 
     def test_stretched_distance_of_a_large_sparse_graph(self):
         # 10^5 vertices, a shuffled clique core of about 10^6 edges; the
