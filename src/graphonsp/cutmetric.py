@@ -46,7 +46,8 @@ class CutResult:
     """Cut-norm value with the rectangle (cell subsets) attaining it.
 
     ``capped_runs`` counts the heuristic runs still moving when the
-    iteration cap stopped them (always 0 in exact mode).
+    iteration cap stopped them and ``products`` the kernel column-products
+    the heuristic used (both always 0 in exact mode).
     """
 
     value: float
@@ -54,6 +55,7 @@ class CutResult:
     witness_cols: tuple
     exact: bool
     capped_runs: int = field(default=0, compare=False)
+    products: int = field(default=0, compare=False)
 
     def recompute(self, w) -> float:
         """Re-evaluate the bilinear objective at the stored witnesses."""
@@ -98,26 +100,27 @@ def _bilinear_max_exact(M: np.ndarray):
 
     For each row subset the optimal column subset is the set of positive
     (or negative) column sums, so only row subsets are enumerated.  Rows are
-    split in halves so subset sums are formed incrementally.
+    split in halves so subset sums are formed incrementally, and the second
+    half's subsets run in blocks of about 2^16 column sums.  The first
+    maximum in the order (second-half subset, positive before negative,
+    first-half subset) wins.
     """
     k = M.shape[0]
     ka = k // 2
     SA = _subset_sums(M[:ka])
     SB = _subset_sums(M[ka:])
+    step = max(1, 2**16 // SA.size)
     best = -1.0
-    best_pos = True
-    best_a = best_b = 0
-    for b in range(SB.shape[0]):
-        vals = SA + SB[b]
-        pos = np.where(vals > 0.0, vals, 0.0).sum(axis=1)
-        neg = np.where(vals < 0.0, vals, 0.0).sum(axis=1)
-        ia = int(np.argmax(pos))
-        ib = int(np.argmin(neg))
-        if pos[ia] > best:
-            best, best_pos, best_a, best_b = float(pos[ia]), True, ia, b
-        if -neg[ib] > best:
-            best, best_pos, best_a, best_b = float(-neg[ib]), False, ib, b
-    rows = _bits(best_a, ka) + [ka + i for i in _bits(best_b, k - ka)]
+    for b0 in range(0, SB.shape[0], step):
+        vals = SA + SB[b0:b0 + step, None]
+        cand = np.stack([np.where(vals > 0.0, vals, 0.0).sum(axis=2),
+                         -np.where(vals < 0.0, vals, 0.0).sum(axis=2)], axis=1)
+        i = int(np.argmax(cand))
+        if cand.flat[i] > best:
+            best = float(cand.flat[i])
+            b, sign, best_a = np.unravel_index(i, cand.shape)
+            best_b, best_pos = b0 + int(b), sign == 0
+    rows = _bits(int(best_a), ka) + [ka + i for i in _bits(best_b, k - ka)]
     col_sums = M[rows].sum(axis=0) if rows else np.zeros(k)
     if best_pos:
         cols = [j for j in range(k) if col_sums[j] > 0.0]
@@ -130,29 +133,44 @@ def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
     """Alternating row/column maximization from random starts.
 
     ``matmat(X)`` returns ``M @ X`` for a symmetric ``k x k`` kernel ``M``
-    and a ``k x c`` block ``X``.  Every restart runs once per sign; all
-    ``2 * restarts`` runs advance together as the columns of one block
-    (restart ``r`` in columns ``2r`` and ``2r + 1``), and a column freezes
-    once its selection stops changing.  Cells with exactly zero marginal
-    contribution are excluded, which makes the iteration deterministic
-    given the seed.  The first column of largest value wins.  Returns the
-    witness rows and columns and the number of columns still active when
-    the 100-iteration cap ended the loop.
+    and a C-contiguous ``k x c`` float block ``X``, each column on its own.
+    Every restart runs once per sign; all ``2 * restarts`` runs advance
+    together as the columns of one block (restart ``r`` in columns ``2r``
+    and ``2r + 1``, which share the first product ``M t``), and a column
+    freezes once its selection stops changing: when its new rows equal its
+    previous rows (``M s``, hence the columns, are then known), or else its
+    new columns equal its previous columns.  Cells with exactly zero
+    marginal contribution are excluded, which makes the iteration
+    deterministic given the seed.  The first column of largest value wins.
+    Returns the witness rows and columns, the number of columns still
+    active when the 100-round cap ended the loop, and the number of kernel
+    column-products used.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    T = np.repeat(rng.random((restarts, k)) < 0.5, 2, axis=0).T.copy()
+    t0 = (rng.random((restarts, k)) < 0.5).T
     sign = np.tile([1.0, -1.0], restarts)
-    S = np.zeros(T.shape, dtype=bool)
-    MS = np.zeros(T.shape)
-    active = np.arange(2 * restarts)
-    for _ in range(100):
+    S = sign * np.repeat(matmat(t0.astype(np.float64, order="C")), 2, axis=1) > 0.0
+    T = np.repeat(t0, 2, axis=1)
+    MS = matmat(S.astype(np.float64))
+    products = 3 * restarts
+    T_new = sign * MS > 0.0
+    active = np.nonzero((T_new != T).any(axis=0))[0]
+    T = T_new
+    for _ in range(99):
         if not active.size:
             break
         sg = sign[active]
-        S[:, active] = sg * matmat(T[:, active].astype(np.float64)) > 0.0
-        MS[:, active] = matmat(S[:, active].astype(np.float64))
-        T_new = sg * MS[:, active] > 0.0
+        S_new = sg * matmat(T[:, active].astype(np.float64, order="C")) > 0.0
+        products += active.size
+        moved = (S_new != S[:, active]).any(axis=0)
+        active, sg, S_new = active[moved], sg[moved], S_new[:, moved]
+        if not active.size:
+            break
+        S[:, active] = S_new
+        MS[:, active] = MS_new = matmat(S_new.astype(np.float64, order="C"))
+        products += active.size
+        T_new = sg * MS_new > 0.0
         moved = (T_new != T[:, active]).any(axis=0)
         T[:, active] = T_new
         active = active[moved]
@@ -160,7 +178,7 @@ def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
     best = int(np.argmax(np.abs((MS * T).sum(axis=0))))
     rows = [int(i) for i in np.nonzero(S[:, best])[0]]
     cols = [int(j) for j in np.nonzero(T[:, best])[0]]
-    return rows, cols, int(active.size)
+    return rows, cols, int(active.size), products
 
 
 def _evaluate(sub: np.ndarray, area: float) -> float:
@@ -185,14 +203,14 @@ def _cut(block, matmat, k: int, exact: bool, restarts: int, seed: int,
     heuristic mode runs on ``matmat`` with the ``0xC07`` substream of
     ``seed``.  The value is re-evaluated at the witness sets.
     """
-    capped = 0
+    capped = products = 0
     if exact:
         rows, cols = _bilinear_max_exact(block(np.arange(k), np.arange(k)))
     else:
-        rows, cols, capped = _bilinear_max_heuristic(matmat, k, restarts,
-                                                     substream(seed, 0xC07))
+        rows, cols, capped, products = _bilinear_max_heuristic(
+            matmat, k, restarts, substream(seed, 0xC07))
     value = _evaluate(block(rows, cols), area)
-    return CutResult(value, tuple(rows), tuple(cols), exact, capped)
+    return CutResult(value, tuple(rows), tuple(cols), exact, capped, products)
 
 
 def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutResult:
@@ -219,7 +237,8 @@ class _UnionKernel:
     and the index map ``idx`` from union cells to the input's cells (``-1``
     outside its support), the kernel is ``M = Qa' Va Qa - Qb' Vb Qb``, where
     ``Q`` is the ``k x U`` selection matrix weighted by ``w``.  A product
-    ``M @ X`` costs ``O(nnz + U)`` per column.
+    ``M @ X`` costs ``O(nnz + U)`` per column.  The union grid runs along
+    ``[0, T]``, so the cells outside a support come last.
     """
 
     def __init__(self, widths, Va, idx_a, Vb, idx_b):
@@ -227,21 +246,27 @@ class _UnionKernel:
         self.sides = []
         for V, idx in ((Va, idx_a), (Vb, idx_b)):
             inside = np.nonzero(idx >= 0)[0]
+            if inside.size and inside[-1] != inside.size - 1:
+                raise ValueError("union cells outside a support must come last")
             Q = sp.csr_matrix((widths[inside], (idx[inside], inside)),
                               shape=(V.shape[0], idx.size))
-            self.sides.append((V, idx, Q))
+            self.sides.append((V, idx, Q, idx[inside]))
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        # a trailing zero row makes index -1 (outside the support) read zero
-        pad = np.zeros((1, X.shape[1]))
-        za, zb = (np.vstack([V @ (Q @ X), pad])[idx] for V, idx, Q in self.sides)
-        return self.widths[:, None] * (za - zb)
+        # each column as widths * (za - zb); a union cell outside a support
+        # reads zero, and z - 0.0 == z, so zb is subtracted inside b's only
+        (Va, _, Qa, head_a), (Vb, _, Qb, head_b) = self.sides
+        z = np.zeros((self.widths.size, X.shape[1]))
+        # every index is valid: "clip" lets take write into z unbuffered
+        np.take(Va @ (Qa @ X), head_a, axis=0, out=z[:head_a.size], mode="clip")
+        z[:head_b.size] -= np.take(Vb @ (Qb @ X), head_b, axis=0)
+        return np.multiply(self.widths[:, None], z, out=z)
 
     def block(self, rows, cols) -> np.ndarray:
         """Dense ``M[rows][:, cols]``, bit-identical to the materialized kernel."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        va, vb = (core._lookup(V, idx[rows], idx[cols]) for V, idx, _ in self.sides)
+        va, vb = (core._lookup(V, idx[rows], idx[cols]) for V, idx, _, _ in self.sides)
         return (va - vb) * np.outer(self.widths[rows], self.widths[cols])
 
 
@@ -435,15 +460,18 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
 
 
 def _log_candidates(grid: str, cells: int, candidates, winner: CutResult) -> None:
-    """One DEBUG record: the grid, every candidate's cut value, the winner
-    and the heuristic runs the iteration cap stopped."""
+    """One DEBUG record: the grid, every candidate's cut value, the winner,
+    the heuristic runs the iteration cap stopped and the kernel
+    column-products the heuristic used."""
     log = logging.getLogger(__name__)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("cut distance on the %s grid of %d cells: %s; %s won; "
-                  "%d heuristic runs stopped at the iteration cap", grid, cells,
+                  "%d heuristic runs stopped at the iteration cap; "
+                  "%d kernel column-products", grid, cells,
                   ", ".join(f"{name} {cut.value!r}" for name, cut in candidates),
                   next(name for name, cut in candidates if cut is winner),
-                  sum(cut.capped_runs for _, cut in candidates))
+                  sum(cut.capped_runs for _, cut in candidates),
+                  sum(cut.products for _, cut in candidates))
 
 
 def _relabel(idx: np.ndarray, perm: np.ndarray) -> np.ndarray:

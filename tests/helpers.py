@@ -112,6 +112,71 @@ def sequential_heuristic_cut(M, restarts, rng):
     return list(np.nonzero(best_s)[0]), list(np.nonzero(best_t)[0])
 
 
+def rowwise_exact_cut(M):
+    """Row subsets split in halves, one second-half subset at a time.
+
+    For every pair of half subsets the best columns are the positive (then
+    the negative) column sums, and the first strictly larger total wins, the
+    positive side before the negative.  Returns ``(rows, cols)``.
+    """
+    k = M.shape[0]
+    ka = k // 2
+
+    def subset_sums(rows):
+        out = np.zeros((1, k))
+        for row in rows:
+            out = np.vstack([out, out + row])
+        return out
+
+    SA, SB = subset_sums(M[:ka]), subset_sums(M[ka:])
+    best, best_pos, best_a, best_b = -1.0, True, 0, 0
+    for b in range(SB.shape[0]):
+        vals = SA + SB[b]
+        pos = np.where(vals > 0.0, vals, 0.0).sum(axis=1)
+        neg = np.where(vals < 0.0, vals, 0.0).sum(axis=1)
+        ia, ib = int(np.argmax(pos)), int(np.argmin(neg))
+        if pos[ia] > best:
+            best, best_pos, best_a, best_b = float(pos[ia]), True, ia, b
+        if -neg[ib] > best:
+            best, best_pos, best_a, best_b = float(-neg[ib]), False, ib, b
+    rows = ([i for i in range(ka) if (best_a >> i) & 1]
+            + [ka + i for i in range(k - ka) if (best_b >> i) & 1])
+    col_sums = M[rows].sum(axis=0) if rows else np.zeros(k)
+    cols = [j for j in range(k) if (col_sums[j] > 0.0 if best_pos else col_sums[j] < 0.0)]
+    return rows, cols
+
+
+def batched_heuristic_cut(matmat, k, restarts, rng):
+    """Alternating row/column maximization, all restarts as one block.
+
+    Every restart's start is drawn from ``rng`` and run once per sign, as
+    columns ``2r`` and ``2r + 1``.  Each round takes two full products per
+    active column, ``M t`` and then ``M s``, and a column freezes only when
+    its new ``t`` equals its previous one.  The first column of largest
+    ``|s' M t|`` wins.  Returns ``(rows, cols, capped)``, where ``capped``
+    counts the columns still moving after 100 rounds.
+    """
+    T = np.repeat(rng.random((restarts, k)) < 0.5, 2, axis=0).T.copy()
+    sign = np.tile([1.0, -1.0], restarts)
+    S = np.zeros(T.shape, dtype=bool)
+    MS = np.zeros(T.shape)
+    active = np.arange(2 * restarts)
+    for _ in range(100):
+        if not active.size:
+            break
+        sg = sign[active]
+        S[:, active] = sg * matmat(T[:, active].astype(np.float64)) > 0.0
+        MS[:, active] = matmat(S[:, active].astype(np.float64))
+        T_new = sg * MS[:, active] > 0.0
+        moved = (T_new != T[:, active]).any(axis=0)
+        T[:, active] = T_new
+        active = active[moved]
+    best = int(np.argmax(np.abs((MS * T).sum(axis=0))))
+    rows = [int(i) for i in np.nonzero(S[:, best])[0]]
+    cols = [int(j) for j in np.nonzero(T[:, best])[0]]
+    return rows, cols, int(active.size)
+
+
 def dense_sample_graph(w, xs, rng):
     """Edges of the model graph on the sorted points ``xs``, pair by pair.
 

@@ -13,9 +13,11 @@ from graphonsp.cutmetric import _degree_sort_perm, _relabel, _UnionKernel
 from graphonsp.errors import ResolutionTooLargeError, SupportMismatchError
 from graphonsp.rng import substream
 
-from helpers import (brute_force_cut_norm, dense_core_stretched_l1,
+from helpers import (batched_heuristic_cut, brute_force_cut_norm,
+                     dense_core_stretched_l1,
                      plain_local_search, quadrature_l1_between,
-                     random_step_graphon, sequential_heuristic_cut,
+                     random_step_graphon, rowwise_exact_cut,
+                     sequential_heuristic_cut,
                      sorted_cut_value, values_at_cell_midpoints)
 
 
@@ -45,6 +47,14 @@ def scrambled_dense_core(n=2000):
     perm = substream(8, 1).permutation(g.n)
     return gsp.Graph(g.n, np.column_stack([perm[g.edge_array[:, 0]],
                                            perm[g.edge_array[:, 1]]]))
+
+
+def shuffled_clique_core(n, seed):
+    """A clique on ``floor(n^(3/4))`` of ``n`` vertices, labels shuffled."""
+    k = int(np.floor(n ** 0.75))
+    iu = np.triu_indices(k, 1)
+    labels = substream(seed, 0xC1).permutation(n)
+    return gsp.Graph(n, np.column_stack([labels[iu[0]], labels[iu[1]]]))
 
 
 def permuted(w, perm):
@@ -135,6 +145,19 @@ class TestCutNorm:
             assert res.value == sorted_cut_value(w.values, rows, cols, area)
             assert (res.witness_rows, res.witness_cols) in (
                 (tuple(rows), tuple(cols)), (tuple(cols), tuple(rows)))
+
+    def test_blocked_enumeration_matches_rowwise_loop(self):
+        # random, integer (many exact ties) and zero kernels up to 16 cells,
+        # so the blocks of second-half subsets span 1 to 4096 rows
+        rng = substream(11, 0xB1)
+        for trial in range(400):
+            k = int(rng.integers(1, 17))
+            M = [rng.uniform(-1.0, 1.0, (k, k)),
+                 rng.integers(-2, 3, (k, k)).astype(np.float64),
+                 np.zeros((k, k)),
+                 rng.integers(0, 2, (k, k)) - 0.5][trial % 4]
+            M = (M + M.T) / 2.0
+            assert cutmetric._bilinear_max_exact(M) == rowwise_exact_cut(M)
 
     def test_l1_gap_dominated_by_cut_norm(self):
         # |l1(w1) - l1(w2)| <= cutnorm(w1 - w2) for nonnegative pairs
@@ -257,9 +280,11 @@ class TestCutDistance:
     def test_heuristic_counts_runs_stopped_by_the_cap(self):
         # a kernel whose products are fresh noise never lets a run settle
         noise = np.random.default_rng(2)
-        rows, cols, capped = cutmetric._bilinear_max_heuristic(
+        rows, cols, capped, products = cutmetric._bilinear_max_heuristic(
             lambda X: noise.standard_normal(X.shape), 30, 3, substream(0, 1))
         assert capped == 6
+        # one shared first product per restart, then two per run and round
+        assert products == 3 + 6 + 99 * 2 * 6
         w = random_step_graphon(5, k=30, t=1.0, signed=True)
         assert gsp.cut_norm(w, mode="heuristic", restarts=4).capped_runs == 0
 
@@ -456,28 +481,35 @@ class TestStretchedDistanceLog:
                   and r.getMessage().startswith("cut distance on the")]
         return res, rec.args
 
-    def test_union_path_names_candidates_and_winner(self, caplog):
+    def test_union_path_names_candidates_and_winner(self, caplog, monkeypatch):
+        columns = []
+        matmat = _UnionKernel.matmat
+        monkeypatch.setattr(_UnionKernel, "matmat",
+                            lambda kern, X: columns.append(X.shape[1]) or matmat(kern, X))
         w = gsp.canonical_graphon(scrambled_dense_core(400))
-        res, (grid, cells, values, winner, capped) = self.record(
+        res, (grid, cells, values, winner, capped, products) = self.record(
             caplog, w, gsp.CelebrityLimit(), restarts=8)
         U = union_grid(gsp.stretch(w)[0], gsp.as_step(gsp.CelebrityLimit()))[0].size
         assert (grid, cells) == ("union", U)
         assert values.startswith("identity ") and ", degree_sort " in values
         assert winner == "degree_sort" and f"degree_sort {res.distance!r}" in values
         assert capped == 0
+        # both candidates' products; each takes at least 3 per restart
+        assert products == sum(columns) >= 2 * 3 * 8
+        assert 3 * 8 <= res.cut.products < products
 
     def test_uniform_path_names_candidates_and_winner(self, caplog):
         # equal edge counts: one stretched support
         rng = np.random.default_rng(4)
         a, b = (gsp.StepGraphon(two_block_adjacency(rng, 8, 10, 3), 1.0, 1.0)
                 for _ in range(2))
-        res, (grid, cells, values, winner, capped) = self.record(
+        res, (grid, cells, values, winner, capped, products) = self.record(
             caplog, a, b, mode="local_search", seed=3)
         assert (grid, cells) == ("uniform", 8)
         names = [item.split(" ")[0] for item in values.split(", ")]
         assert names == ["identity", "degree_sort", "local_search"]
         assert winner in names and f"{winner} {res.distance!r}" in values
-        assert capped == 0
+        assert capped == 0 and products == 0  # exact cut norms only
 
 
 class TestGridRule:
@@ -583,3 +615,79 @@ class TestUnionKernel:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             every = np.arange(widths.size)
             assert np.array_equal(kernel.block(every, every), M)
+
+    def test_cells_outside_a_support_come_last(self):
+        # matmat reads each input on the union cells before its first -1
+        V = sp.csr_matrix(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="must come last"):
+            _UnionKernel(np.full(3, 0.5), V, np.array([0, -1, 1]), V, np.array([0, 1, 1]))
+
+
+class TestHeuristicStopRule:
+    """The heuristic shares each restart's first product between its signs
+    and stops a run once its rows repeat; the plain batched loop, two
+    products per run and round, must pick the same witness and cap count."""
+
+    @staticmethod
+    def assert_agrees(matmat, k, restarts, seed):
+        got = cutmetric._bilinear_max_heuristic(matmat, k, restarts,
+                                                substream(seed, 0xC07))
+        assert got[:3] == batched_heuristic_cut(matmat, k, restarts,
+                                                substream(seed, 0xC07))
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        """``(matmat, cells, restarts, seed)`` of every heuristic cut."""
+        calls = []
+        cut = cutmetric._cut
+        monkeypatch.setattr(cutmetric, "_cut", lambda block, matmat, k, exact, restarts,
+                            seed, area=1.0: calls.append((matmat, k, restarts, seed))
+                            or cut(block, matmat, k, exact, restarts, seed, area))
+        return calls
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_dense_signed_kernels(self, seed):
+        # the dense product cut_norm uses, on 2 to 12 cells
+        w = random_step_graphon(seed, signed=True)
+        for restarts in (1, 2, 16, 64):
+            self.assert_agrees(w.values.__matmul__, w.k, restarts, seed)
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_dense_signed_kernels_columnwise(self, seed):
+        # up to 30 cells, a BLAS product can round a column differently
+        # with the width of its block, and the two loops form different
+        # blocks; a CSR product computes every column on its own
+        w = random_step_graphon(seed, signed=True, kmax=30)
+        for restarts in (1, 2, 16, 64):
+            self.assert_agrees(sp.csr_matrix(w.values).__matmul__, w.k, restarts, seed)
+
+    @staticmethod
+    def union_pair(case):
+        if case == "celebrity":
+            return gsp.canonical_graphon(scrambled_dense_core(400)), gsp.CelebrityLimit()
+        if case == "unequal edge counts":
+            return [gsp.canonical_graphon(gsp.core_periphery_graph(300, 0.5, 0.5, s))
+                    for s in (1, 2)]
+        g = gsp.core_periphery_graph(300, 0.5, 0.5, 4)
+        perm = substream(4, 1).permutation(g.n)
+        return [gsp.canonical_graphon(h) for h in (g, gsp.Graph(g.n, perm[g.edge_array]))]
+
+    @pytest.mark.parametrize("case, one_grid", [("celebrity", False),
+                                                ("unequal edge counts", False),
+                                                ("relabeled copy", True)])
+    def test_union_kernels(self, case, one_grid, kernels):
+        res = gsp.stretched_cut_distance(*self.union_pair(case), restarts=16, seed=2)
+        assert (res.permutation is not None) == one_grid and len(kernels) == 2
+        for call in kernels:
+            self.assert_agrees(*call)
+
+    def test_clique_core_product_count(self, caplog):
+        # the plain loop takes 2 candidates x 64 restarts x 2 signs x 2
+        # rounds x 2 products = 1024 column-products on this input
+        caplog.set_level(logging.DEBUG, logger="graphonsp")
+        w = gsp.canonical_graphon(shuffled_clique_core(3000, 1))
+        res = gsp.stretched_cut_distance(w, gsp.CelebrityLimit(), restarts=64)
+        (rec,) = [r for r in caplog.records
+                  if r.getMessage().startswith("cut distance on the")]
+        assert rec.args[0] == "union" and rec.args[-1] <= 720
+        assert res.distance <= 2.0 / (int(np.floor(3000 ** 0.75)) - 1)
