@@ -231,12 +231,8 @@ class _StepBase:
 
     def eval(self, x, y):
         """Pointwise evaluation; zero outside ``[0, t]^2``."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        inside = (x >= 0) & (x <= self.t) & (y >= 0) & (y <= self.t)
-        i = np.clip((x / self.cell_width).astype(np.int64), 0, self.k - 1)
-        j = np.clip((y / self.cell_width).astype(np.int64), 0, self.k - 1)
-        out = np.where(inside, _at(self.values, i, j), 0.0)
+        i, j = _cell_index(self, x), _cell_index(self, y)
+        out = np.where((i >= 0) & (j >= 0), _at(self.values, i, j), 0.0)
         return out if out.ndim else float(out)
 
     def __repr__(self):
@@ -373,10 +369,10 @@ def l1_restricted(w: GraphonSpec, t_m: float) -> float:
             return w.l1_norm
         h = w.cell_width
         v = abs(w.values)
-        full = int(t_m / h)
+        full = int(_cell_index(w, t_m))
         fw = t_m - full * h  # width of the partially covered strip
         total = h * h * float(v[:full, :full].sum())
-        if fw > 0 and full < w.k:
+        if fw > 0:
             total += 2.0 * h * fw * float(v[:full, full].sum())
             total += fw * fw * float(v[full, full])
         return total
@@ -421,15 +417,13 @@ class StepSignal:
         return math.sqrt(self.cell_width * float((self.values**2).sum()))
 
     def eval(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        inside = (x >= 0) & (x <= self.t)
-        i = np.clip((x / self.cell_width).astype(np.int64), 0, self.k - 1)
-        out = np.where(inside, self.values[i], 0.0)
+        i = _cell_index(self, x)
+        out = np.where(i >= 0, self.values[i], 0.0)
         return out if out.ndim else float(out)
 
     def edges(self) -> np.ndarray:
         """Cell boundary positions, length ``k + 1``."""
-        return np.arange(self.k + 1) * self.cell_width
+        return _edges(self)
 
     def __repr__(self):
         return f"StepSignal(k={self.k}, t={self.t!r})"
@@ -562,12 +556,8 @@ def as_step(w: GraphonSpec, resolution: int | None = None,
         if resolution is None:
             raise StepRequiredError(
                 "RankOneExp has no exact step form; pass a resolution")
-        if resolution < 1:
-            raise ValueError("resolution must be at least 1")
         t_cut = support if support is not None else 40.0 / w.lam
-        mids = (np.arange(resolution) + 0.5) * (t_cut / resolution)
-        g = w.profile(mids)
-        return StepGraphon(np.outer(g, g), t_cut, w.value_bound)
+        return restrict(w, t_cut, resolution)._with_support(t_cut)
     raise TypeError(f"not a graphon spec: {type(w).__name__}")
 
 
@@ -583,12 +573,7 @@ def union_grid(a: _StepBase, b: _StepBase):
     each union cell (``-1`` outside its support).  No resampling occurs.
     """
     T = max(a.t, b.t)
-    bp = np.concatenate([
-        np.arange(a.k + 1) * a.cell_width,
-        np.arange(b.k + 1) * b.cell_width,
-        [T],
-    ])
-    bp = np.unique(bp)
+    bp = np.unique(np.concatenate([_edges(a), _edges(b)]))
     # merge breakpoints closer than the float noise of their own magnitude
     # so widths stay positive, and a short support keeps its cells
     keep = np.concatenate([[True], np.diff(bp) > 1e-12 * np.maximum(1.0, bp[1:])])
@@ -629,12 +614,25 @@ def _on_uniform(w, k: int, span: float) -> np.ndarray:
     return _lookup(w.values, idx, idx)
 
 
-def _cell_index(w: _StepBase, mids: np.ndarray) -> np.ndarray:
-    """Cell of ``w`` containing each midpoint, ``-1`` outside ``[0, t]``."""
-    # clip first: far beyond the support the cell number would overflow int64
-    idx = np.floor(np.minimum(mids, w.t) / w.cell_width).astype(np.int64)
-    idx[(mids > w.t) | (idx >= w.k)] = -1
-    return idx
+def _edges(w) -> np.ndarray:
+    """Cell boundaries of a step graphon or signal: ``i * (t / k)`` for
+    ``i < k``, then exactly ``t``."""
+    return np.append(np.arange(w.k) * w.cell_width, w.t)
+
+
+def _cell_index(w, x) -> np.ndarray:
+    """Cell of a step graphon or signal holding each position: ``floor(x / h)``
+    for ``h = t / k``, the last cell at ``x = t``, and ``-1`` outside
+    ``[0, t]`` or at NaN.
+
+    The floor is read off the breakpoints of :func:`_edges`, so cell ``i``
+    is exactly ``[e_i, e_{i+1})``; a rounded quotient ``x / h`` puts about
+    one breakpoint ``e_i`` in twenty into cell ``i - 1``.  No float is cast
+    to an integer, so no position, however far out, can overflow one.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    cell = np.searchsorted(_edges(w)[1:-1], x, side="right")
+    return np.where((x >= 0) & (x <= w.t), cell, -1)
 
 
 # Step values are an ndarray or a CSR matrix; these helpers are the only

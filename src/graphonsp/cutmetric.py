@@ -408,7 +408,7 @@ def _union(a, b, mode: str, restarts: int, seed: int) -> AlignmentResult:
     both inputs sorted by degree are tried, an upper bound on the relabeled
     distance, so the result is flagged ``exact=False``.  On one shared grid
     the relabeling is a cell permutation, reported in ``b``'s frame."""
-    # union_grid(a, a) can end in a sliver cell when k * (t / k) rounds below t
+    # equal widths keep zero marginal sums exactly zero, as the tie rule needs
     one_grid = a.k == b.k and a.t == b.t
     widths, ia, ib = ((np.full(a.k, a.cell_width), np.arange(a.k), np.arange(a.k))
                       if one_grid else core.union_grid(a, b))

@@ -60,8 +60,7 @@ def _cell_integrals(f: StepSignal, edges: np.ndarray) -> np.ndarray:
 
     def F(x):
         x = np.clip(x, 0.0, f.t)
-        pos = x / f.cell_width
-        i = np.minimum(pos.astype(np.int64), f.k - 1)
+        i = core._cell_index(f, x)
         return cum[i] + (x - i * f.cell_width) * f.values[i]
 
     return F(edges[1:]) - F(edges[:-1])
@@ -122,8 +121,7 @@ def apply(op: GraphonOperator, f: StepSignal) -> StepSignal:
         inner = float(seg @ f.values)
         avg_g = seg / np.diff(edges)
         return StepSignal(inner * avg_g, f.t)
-    edges = np.arange(k.k + 1) * k.cell_width
-    fint = _cell_integrals(f, edges)
+    fint = _cell_integrals(f, core._edges(k))
     return StepSignal(k.values @ fint, k.t)
 
 
@@ -245,9 +243,7 @@ def apply_spectral(h: SpectralFilter, op: GraphonOperator, f: StepSignal,
     if k_eigs < 1 or k_eigs > k.k:
         raise ValueError("k_eigs must lie in [1, grid size]")
     K = k.values * k.cell_width   # CSR stays CSR: eigensolve takes either
-    h_cell = k.cell_width
-    edges = np.arange(k.k + 1) * h_cell
-    fbar = _cell_integrals(f, edges) / h_cell   # cell means on the operator grid
+    fbar = _cell_integrals(f, core._edges(k)) / k.cell_width   # cell means on the operator grid
 
     kn = min(k_eigs, k.k - k_eigs)   # the two ends never share an eigenvalue
     rep = spectral.eigensolve(K, k_pos=k_eigs, k_neg=kn, tol=tol, vectors=True, seed=seed)
@@ -273,8 +269,7 @@ def chebyshev_polynomial_apply(h: SpectralFilter, op: GraphonOperator,
         raise StepRequiredError("operator Chebyshev evaluation needs a step kernel")
     k = op.kernel
     a, b = h.interval
-    edges = np.arange(k.k + 1) * k.cell_width
-    fbar = _cell_integrals(f, edges) / k.cell_width
+    fbar = _cell_integrals(f, core._edges(k)) / k.cell_width
     K = k.values * k.cell_width   # CSR stays CSR
 
     def u(vec):

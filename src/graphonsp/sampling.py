@@ -157,8 +157,8 @@ def _block_labels(w: GraphonSpec, xs: np.ndarray) -> np.ndarray:
     """
     if isinstance(w, StepGraphon):
         # the cell rule of _StepBase.eval, and label k beyond the support
-        cell = np.clip(np.floor(xs / w.cell_width), 0, w.k - 1)
-        return np.where(xs <= w.t, cell, w.k)
+        cell = core._cell_index(w, xs)
+        return np.where(cell >= 0, cell, w.k)
     if isinstance(w, ConstantBox):
         return xs > w.support_length
     if isinstance(w, RankOneExp):
@@ -294,16 +294,9 @@ def sample_signal(f, points: SamplePoints) -> StepSignal:
     ``f`` may be a :class:`StepSignal` or any callable; the output lives on
     ``[0, 1]`` with ``n`` equal steps, step ``i`` carrying ``f(x_i)``.
     """
-    xs = points.xs
-    if np.any(np.diff(xs) < 0):
-        raise ValueError("sample points must be sorted ascending")
     if isinstance(f, StepSignal):
-        values = f.eval(xs)
-        bound = f.bound
-    else:
-        values = np.asarray(f(xs), dtype=np.float64)
-        bound = float(np.abs(values).max()) if values.size else 0.0
-    return StepSignal(values, 1.0, max(bound, float(np.abs(values).max())))
+        return StepSignal(f.eval(points.xs), 1.0, f.bound)
+    return StepSignal(f(points.xs), 1.0)
 
 
 def grow_subgraphs(g: Graph, schedule: GrowthSchedule, seed: int) -> list:

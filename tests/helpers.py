@@ -4,8 +4,10 @@ These are deliberately independent of the library code paths they check:
 brute-force enumerations, quadrature, and closed-form arithmetic only.
 """
 
+import bisect
 import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -175,6 +177,21 @@ def batched_heuristic_cut(matmat, k, restarts, rng):
     rows = [int(i) for i in np.nonzero(S[:, best])[0]]
     cols = [int(j) for j in np.nonzero(T[:, best])[0]]
     return rows, cols, int(active.size)
+
+
+def reference_cell_index(t, k, x):
+    """Cell of the ``k``-cell grid on ``[0, t]`` holding the float ``x``.
+
+    Bisects the exact value of ``x`` among the exact values of the float
+    breakpoints ``i * (t / k)``, ``0 < i < k``, so cell ``i`` is the
+    half-open interval from breakpoint ``i`` to breakpoint ``i + 1``; the
+    last cell also holds ``t``, and ``-1`` stands for a point outside
+    ``[0, t]`` or NaN.
+    """
+    if math.isnan(x) or not 0.0 <= x <= t:
+        return -1
+    h = t / k
+    return bisect.bisect_right([Fraction(i * h) for i in range(1, k)], Fraction(x))
 
 
 def dense_sample_graph(w, xs, rng):

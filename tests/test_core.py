@@ -336,6 +336,43 @@ class TestStepSignal:
         assert f.eval(2.5) == 0.0
 
 
+_CYCLE5_CHORD = gsp.Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+
+
+class TestCellRule:
+    @pytest.mark.parametrize("w", [random_step_graphon(7),
+                                   gsp.stretch(gsp.canonical_graphon(_CYCLE5_CHORD))[0],
+                                   gsp.StepSignal(np.arange(1.0, 8.0), 2.7)],
+                             ids=["dense", "csr", "signal"])
+    def test_eval_outside_the_support_and_at_its_end(self, w):
+        # zero outside [0, t], the last cell at t, and no warning for any float
+        xs = np.array([-1.0, 0.0, w.t, w.t * (1 + 1e-7), 1e300, np.inf, -np.inf, np.nan])
+        cells = [None, 0, w.k - 1, None, None, None, None, None]
+        v = core._dense(w.values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(w, gsp.StepSignal):
+                got = w.eval(xs)
+                want = [0.0 if c is None else v[c] for c in cells]
+            else:
+                got = w.eval(xs[:, None], xs[None, :])
+                want = [[0.0 if None in (a, b) else v[a, b] for b in cells] for a in cells]
+        assert np.array_equal(got, want)
+
+    def test_union_of_a_grid_with_itself_is_that_grid(self):
+        # stretched graph embeddings, where k * (t / k) often rounds below t:
+        # a grid that ended there and not at t grew a sliver cell
+        rng = substream(0, 0x511)
+        for n in range(2, 200):
+            for _ in range(5):
+                edges = np.argwhere(np.triu(rng.random((n, n)) < rng.random(), 1))
+                g = gsp.Graph(n, edges if edges.size else [(0, 1)])
+                a = gsp.stretch(gsp.canonical_graphon(g))[0]
+                widths, ia, ib = core.union_grid(a, a)
+                assert widths.size == a.k, f"n={n}"
+                assert np.array_equal(ia, np.arange(a.k)) and np.array_equal(ib, ia)
+
+
 class TestSignedDifference:
     def test_same_grid(self):
         a = random_step_graphon(1, k=4, t=1.0)

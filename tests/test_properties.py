@@ -21,7 +21,8 @@ import graphonsp as gsp  # noqa: E402
 from graphonsp import core  # noqa: E402
 from graphonsp.cli import RunConfig, main  # noqa: E402
 
-from helpers import brute_force_cut_norm, reference_read_edge_list  # noqa: E402
+from helpers import (brute_force_cut_norm, reference_cell_index,  # noqa: E402
+                     reference_read_edge_list)
 
 # derandomized and without an example database: tier-1 stays reproducible
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -92,6 +93,19 @@ def test_equal_supports_refine_to_lcm(k1, k2, t):
     a = gsp.StepGraphon(np.zeros((k1, k1)), t, 1.0)
     b = gsp.StepGraphon(np.zeros((k2, k2)), t, 1.0)
     assert core._refinement(t, a, b) == math.lcm(k1, k2)
+
+
+@PROPERTY
+@given(k=st.integers(1, 64), t=st.floats(1e-3, 1e3),
+       us=st.lists(st.floats(-0.5, 1.5), max_size=20), raw=st.lists(st.floats(), max_size=5))
+def test_cell_index_matches_bisection(k, t, us, raw):
+    # points spread over the support and past it, any float at all, and
+    # every breakpoint i * h (with t) flanked by its two float neighbours
+    bps = [i * (t / k) for i in range(k)] + [t]
+    near = [math.nextafter(e, d) for e in bps for d in (-math.inf, math.inf)]
+    points = [u * t for u in us] + raw + bps + near
+    got = core._cell_index(gsp.StepSignal(np.zeros(k), t), np.array(points))
+    assert got.tolist() == [reference_cell_index(t, k, x) for x in points]
 
 
 @PROPERTY

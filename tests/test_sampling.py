@@ -8,9 +8,9 @@ import pytest
 import graphonsp as gsp
 from graphonsp.errors import ProbabilityRangeError, ScheduleError
 from graphonsp.rng import derive_key, substream
-from graphonsp.sampling import _sample_edges
+from graphonsp.sampling import _block_labels, _sample_edges
 
-from helpers import dense_sample_graph
+from helpers import dense_sample_graph, random_step_graphon, reference_cell_index
 
 
 class TestSampleGraph:
@@ -76,6 +76,18 @@ class TestSampleGraph:
                                    gsp.StepGraphon([[1.0]], 1.0, 1.0)])
     def test_single_point_never_raises(self, w):
         assert gsp.sample_graph(w, 1.0, 1, seed=0).graph.edge_count == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_step_kernel_blocks_are_its_cells(self, seed):
+        # label k past the support; the points include every breakpoint
+        # i * h (with t) and its float neighbours
+        w = random_step_graphon(seed)
+        bps = [i * (w.t / w.k) for i in range(w.k)] + [w.t]
+        near = [math.nextafter(e, d) for e in bps[1:] for d in (-math.inf, math.inf)]
+        xs = np.sort(np.concatenate(
+            [bps, near, substream(seed, 0xB1).uniform(0.0, 1.5 * w.t, 200)]))
+        cells = [reference_cell_index(w.t, w.k, x) for x in xs]
+        assert _block_labels(w, xs).tolist() == [w.k if c < 0 else c for c in cells]
 
     def test_unit_box_gives_complete_graph_on_its_points(self):
         sg = gsp.sample_graph(gsp.ConstantBox(1.0, 0.7), 2.0, 300, seed=4)
