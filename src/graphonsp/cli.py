@@ -328,18 +328,20 @@ def cmd_cutdist(cfg: RunConfig, input_a, input_b, out_dir) -> ResultBundle:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error too leaves one JSON object; --help still exits 0
+        raise GraphonError(f"{self.prog}: {message}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON config path")
     p.add_argument("--seed", type=int, default=None, help="overrides config seed")
     p.add_argument("--out", type=str, required=True, help="output directory")
-    p.add_argument("--mode", type=str, default=None,
-                   choices=["exact", "heuristic", "degree_sort", "local_search"],
-                   help="cut computation mode")
-    p.add_argument("--edge-scale", type=str, default=None, choices=["E", "2E"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="graphonsp")
+    ap = _Parser(prog="graphonsp")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample a double graph sequence")
@@ -348,6 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="eigenvalue scaling diagnostics")
     p.add_argument("input", type=str, help="edge-list file")
     _add_common(p)
+    p.add_argument("--edge-scale", type=str, default=None, choices=["E", "2E"])
 
     p = sub.add_parser("fit-filter", help="filter-coefficient convergence")
     p.add_argument("input", type=str, help="edge-list file")
@@ -357,6 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input_a", type=str)
     p.add_argument("input_b", type=str)
     _add_common(p)
+    p.add_argument("--mode", type=str, default=None,
+                   choices=["exact", "degree_sort", "local_search"], help="cut mode")
     return ap
 
 
@@ -365,16 +370,15 @@ def _resolve_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.seed = int(args.seed)
     if getattr(args, "mode", None):
-        mode = args.mode
-        cfg.cut_mode = "degree_sort" if mode == "heuristic" else mode
+        cfg.cut_mode = args.mode
     if getattr(args, "edge_scale", None):
         cfg.edge_scale = args.edge_scale
     return cfg
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         if args.command == "sample":
             cmd_sample(cfg, args.out)

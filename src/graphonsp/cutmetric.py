@@ -6,6 +6,10 @@ selector, so it attains its maximum at a vertex of the unit box.  Exact mode
 enumerates row subsets (choosing the optimal column subset per row subset);
 heuristic mode runs alternating maximization from random restarts and never
 exceeds the exact value.
+
+Both cut distances end in one comparison routine, ``_compare``: the grid
+fixes only how a candidate relabeling's difference kernel is cut by the one
+engine ``_cut``, and the candidates, winner, log and result are shared.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .core import (
     ConstantBox,
     GraphonSpec,
     RankOneExp,
-    SignedStepGraphon,
     StepGraphon,
     stretch,
 )
@@ -226,8 +229,10 @@ def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutRe
         raise ResolutionTooLargeError(
             f"exact cut norm is limited to k <= {EXACT_CUT_LIMIT}, got {w.k}")
     M = w.values
-    return _cut(lambda r, c: core._block(M, r, c), M.__matmul__, w.k, mode == "exact",
-                restarts, seed, (w.t / w.k) ** 2)
+    # a CSR product sums each column on its own, so the heuristic's witness
+    # does not depend on how BLAS blocks a dense product
+    return _cut(lambda r, c: core._block(M, r, c), sp.csr_matrix(M).__matmul__, w.k,
+                mode == "exact", restarts, seed, (w.t / w.k) ** 2)
 
 
 class _UnionKernel:
@@ -271,13 +276,8 @@ class _UnionKernel:
 
 
 # ---------------------------------------------------------------------------
-# cut distance between equal-support step graphons
+# cut distance: one comparison routine on one grid
 # ---------------------------------------------------------------------------
-
-def _permute(values: np.ndarray, perm) -> np.ndarray:
-    p = np.asarray(perm)
-    return values[np.ix_(p, p)]
-
 
 def _degree_sort_perm(values) -> np.ndarray:
     # stable sort on (-rowsum, index): deterministic tie handling; a sparse
@@ -317,120 +317,110 @@ def cut_distance_steps(w1, w2, mode: str = "exact", iters: int = 2,
 
 def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
              seed: int) -> AlignmentResult:
-    """The grid rule of both cut distances, for step graphons on ``[0, T]``:
-    lift onto the coarsest common uniform refinement only when its cut norm
-    is exact (``k <= 22``; ``k <= 8`` for exact alignment), else use
-    :func:`_union`."""
+    """Cut distance of step graphons ``a`` and ``b`` on ``[0, T]``.
+
+    The grid is the coarsest common uniform refinement when its cut norms
+    are exact (``k <= 22``; ``k <= 8`` for exact alignment), else the union
+    grid (or the one grid both inputs share).  It fixes ``score(pa, pb,
+    exact)``, the cut norm of the difference with ``a``'s cells relabeled by
+    ``pa`` and ``b``'s by ``pb``.  The candidates are the identity and,
+    outside exact mode, both inputs sorted by degree; on the uniform grid
+    exact mode enumerates every relabeling instead, and ``local_search``
+    improves the better candidate by swaps.  The first of least cut wins.
+    """
     k = core._refinement(T, a, b)
-    if k is None or k > (EXACT_ALIGN_LIMIT if mode == "exact" else EXACT_CUT_LIMIT):
-        return _union(a, b, mode, restarts, seed)
-    res, candidates = _align(core._on_uniform(a, k, T), core._on_uniform(b, k, T), T,
-                             a.value_bound + b.value_bound, mode, iters, restarts, seed)
-    _log_candidates("uniform", k, candidates, res.cut)
-    return res
+    lift = k is not None and k <= (EXACT_ALIGN_LIMIT if mode == "exact" else EXACT_CUT_LIMIT)
+    if lift:
+        va, vb = core._on_uniform(a, k, T), core._on_uniform(b, k, T)
+        area = (T / k) ** 2
+
+        def score(pa, pb, exact):
+            # every candidate keeps b in its own frame here: pb is the identity
+            M = va[np.ix_(pa, pa)] - vb
+            return _cut(lambda r, c: core._block(M, r, c), M.__matmul__, k, exact,
+                        restarts, seed, area)
+
+        shared, exact_cuts, da, db = True, True, va, vb
+    else:
+        # equal widths keep zero marginal sums exactly zero, as the tie rule needs
+        shared = a.k == b.k and a.t == b.t
+        widths, ia, ib = ((np.full(a.k, a.cell_width), np.arange(a.k), np.arange(a.k))
+                          if shared else core.union_grid(a, b))
+        k = widths.size
+        Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
+
+        def score(pa, pb, exact):
+            kern = _UnionKernel(widths, Va, _relabel(ia, pa), Vb, _relabel(ib, pb))
+            return _cut(kern.block, kern.matmat, k, exact, restarts, seed)
+
+        exact_cuts, da, db = mode == "exact" and k <= EXACT_CUT_LIMIT, a.values, b.values
+
+    ident_b = np.arange(db.shape[0])
+    if lift and mode == "exact":
+        tried = [min((("exact", score(p, ident_b, True), p)
+                      for p in itertools.permutations(range(k))), key=lambda c: c[1].value)]
+    else:
+        maps = [("identity", np.arange(da.shape[0]), ident_b)]
+        if mode != "exact":
+            # each input's own cells are equal-measure, so sorting them by row
+            # sum is a valid relabeling even though the union grid is nonuniform
+            pa, pb = _degree_sort_perm(da), _degree_sort_perm(db)
+            if shared:  # chase a's sorted cells into b's frame
+                pa, pb = pa[np.argsort(pb)], ident_b
+            maps.append(("degree_sort", pa, pb))
+        tried = [(name, score(pa, pb, exact_cuts), pa) for name, pa, pb in maps]
+        if lift and mode == "local_search":
+            _, cut, perm = min(tried, key=lambda c: c[1].value)
+            m = 4 * k**2 * np.finfo(float).eps * area * (np.abs(va).sum() + np.abs(vb).sum())
+            tried.append(("local_search", *_local_search(score, cut, perm, iters, m)))
+    _, cut, perm = min(tried, key=lambda c: c[1].value)
+    _log_candidates("uniform" if lift else "union", k, tried, cut)
+    return AlignmentResult(cut.value, tuple(int(i) for i in perm) if shared else None,
+                           lift, cut)
 
 
-def _align(va: np.ndarray, vb: np.ndarray, t: float, bound: float, mode: str,
-           iters: int, restarts: int, seed: int):
-    """Cut distance, by exact cut norms, of value matrices already lifted onto
-    one ``k``-cell grid over ``[0, t]``; ``bound`` bounds ``|va - vb|``.
-
-    Returns the result and the ``(name, CutResult)`` candidates it chose
-    from; the winner is the candidate whose cut the result holds."""
-    k = va.shape[0]
-
-    def diff(perm):
-        return SignedStepGraphon(_permute(va, perm) - vb, t,
-                                 bound if bound > 0 else 1.0)
-
-    if mode == "exact":
-        cut, perm = min(((cut_norm(diff(p)), p) for p in itertools.permutations(range(k))),
-                        key=lambda cp: cp[0].value)
-        return AlignmentResult(cut.value, tuple(perm), True, cut), [("exact", cut)]
-
-    # both sorted by degree, va's order chased into vb's frame
-    sorted_perm = _degree_sort_perm(va)[np.argsort(_degree_sort_perm(vb))]
-    tried = [(cut_norm(diff(p)), p) for p in (np.arange(k), sorted_perm)]
-    best_cut, best_perm = min(tried, key=lambda cp: cp[0].value)
-    candidates = [("identity", tried[0][0]), ("degree_sort", tried[1][0])]
-
-    if mode == "local_search":
-        # Rounding bound m, with u = eps/2 and A = sum|va| + sum|vb|, which
-        # bounds the |entries| of every trial kernel M.  A value is _evaluate
-        # at a witness: a sum of <= k^2 terms, in any order, times area, so it
-        # is within area*A*(k^2 + 1)*u of the witness's real value.  The
-        # enumerator's column sums and their positive (negative) parts are
-        # within 2k*u*A of the real ones, so its argmax row set loses <= 4k*u*A
-        # of the unscaled cut norm, and the columns read off it another k*u*A.
-        # The heuristic witness is real, so its value is below the cut norm:
-        # trial >= lb - area*A*(2k^2 + 5k + 2)*u, and for k >= 2 the margin
-        # m = 8k^2*u*area*A covers this and the higher-order terms.  A prune
-        # (lb > current - m) thus implies trial > current - 2m, never an
-        # accepted swap, and gains below 2m are rounding noise, not progress.
-        area = (t / k) ** 2
-        m = 4 * k**2 * np.finfo(float).eps * area * (np.abs(va).sum() + np.abs(vb).sum())
-        perm = best_perm.copy()
-        current = best_cut
-        pruned = evaluated = accepted = 0
-        for passes in range(1, iters + 1):
-            improved = False
-            for i in range(k - 1):
-                for j in range(i + 1, k):
-                    perm[i], perm[j] = perm[j], perm[i]
-                    d = diff(perm)
-                    if cut_norm(d, mode="heuristic", restarts=restarts,
-                                seed=seed).value > current.value - m:
-                        pruned += 1
-                    else:
-                        evaluated += 1
-                        trial = cut_norm(d)
-                        if trial.value < current.value - 2 * m:
-                            current = trial
-                            improved = True
-                            accepted += 1
-                            continue
-                    perm[i], perm[j] = perm[j], perm[i]
-            if not improved:
-                break
-        logging.getLogger(__name__).debug(
-            "local search on %d cells: %d trials, %d pruned, %d exact evaluations, "
-            "%d swaps accepted", k, passes * k * (k - 1) // 2, pruned, evaluated, accepted)
-        best_cut, best_perm = current, perm
-        candidates.append(("local_search", current))
-
-    return AlignmentResult(best_cut.value, tuple(int(i) for i in best_perm),
-                           True, best_cut), candidates
-
-
-def _union(a, b, mode: str, restarts: int, seed: int) -> AlignmentResult:
-    """Cut distance with the difference applied exactly, as an implicit
-    operator, on the union grid.  Only the identity and (outside exact mode)
-    both inputs sorted by degree are tried, an upper bound on the relabeled
-    distance, so the result is flagged ``exact=False``.  On one shared grid
-    the relabeling is a cell permutation, reported in ``b``'s frame."""
-    # equal widths keep zero marginal sums exactly zero, as the tie rule needs
-    one_grid = a.k == b.k and a.t == b.t
-    widths, ia, ib = ((np.full(a.k, a.cell_width), np.arange(a.k), np.arange(a.k))
-                      if one_grid else core.union_grid(a, b))
-    U = widths.size
-    Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
-    maps = [("identity", ia, ib)]
-    if mode != "exact":
-        # each input's own cells are equal-measure, so sorting them by row
-        # sum is a valid relabeling even though the union grid is nonuniform
-        pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
-        if one_grid:  # chase a's sorted cells into b's frame
-            pa, pb = pa[np.argsort(pb)], ib
-        maps.append(("degree_sort", _relabel(ia, pa), _relabel(ib, pb)))
-    exact = mode == "exact" and U <= EXACT_CUT_LIMIT
-    kernels = [(name, _UnionKernel(widths, Va, ja, Vb, jb)) for name, ja, jb in maps]
-    candidates = [(name, _cut(kern.block, kern.matmat, U, exact, restarts, seed))
-                  for name, kern in kernels]
-    win = int(np.argmin([cut.value for _, cut in candidates]))
-    cut = candidates[win][1]
-    _log_candidates("union", U, candidates, cut)
-    perm = tuple(int(i) for i in maps[win][1]) if one_grid else None
-    return AlignmentResult(cut.value, perm, False, cut)
+def _local_search(score, cut: CutResult, perm: np.ndarray, iters: int, m: float):
+    """Pairwise label swaps of ``perm``, whose cut is ``cut``, for up to
+    ``iters`` passes, scored by :func:`_compare`'s uniform-grid ``score``
+    with rounding margin ``m``; returns the final cut and permutation."""
+    # Rounding bound m, with u = eps/2 and A = sum|va| + sum|vb|, which
+    # bounds the |entries| of every trial kernel M.  A value is _evaluate
+    # at a witness: a sum of <= k^2 terms, in any order, times area, so it
+    # is within area*A*(k^2 + 1)*u of the witness's real value.  The
+    # enumerator's column sums and their positive (negative) parts are
+    # within 2k*u*A of the real ones, so its argmax row set loses <= 4k*u*A
+    # of the unscaled cut norm, and the columns read off it another k*u*A.
+    # The heuristic witness is real, so its value is below the cut norm:
+    # trial >= lb - area*A*(2k^2 + 5k + 2)*u, and for k >= 2 the margin
+    # m = 8k^2*u*area*A covers this and the higher-order terms.  A prune
+    # (lb > current - m) thus implies trial > current - 2m, never an
+    # accepted swap, and gains below 2m are rounding noise, not progress.
+    k = perm.size
+    ident = np.arange(k)
+    perm = perm.copy()
+    pruned = evaluated = accepted = 0
+    for passes in range(1, iters + 1):
+        improved = False
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                perm[i], perm[j] = perm[j], perm[i]
+                if score(perm, ident, False).value > cut.value - m:
+                    pruned += 1
+                else:
+                    evaluated += 1
+                    trial = score(perm, ident, True)
+                    if trial.value < cut.value - 2 * m:
+                        cut = trial
+                        improved = True
+                        accepted += 1
+                        continue
+                perm[i], perm[j] = perm[j], perm[i]
+        if not improved:
+            break
+    logging.getLogger(__name__).debug(
+        "local search on %d cells: %d trials, %d pruned, %d exact evaluations, "
+        "%d swaps accepted", k, passes * k * (k - 1) // 2, pruned, evaluated, accepted)
+    return cut, perm
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +432,10 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
                            restarts: int = 64, seed: int = 0) -> AlignmentResult:
     """Cut distance between the stretched versions of two graphons.
 
-    Both inputs are stretched to unit 1-norm.  When their grids share a
-    uniform refinement of ``[0, max(t1, t2)]`` (see ``core._refinement``) of
-    at most 22 cells (8 in exact mode), both are lifted onto it, zero beyond
+    Both inputs are stretched to unit 1-norm and compared on
+    ``[0, max(t1, t2)]`` by the routine both cut distances share.  When
+    their grids have a uniform refinement (see ``core._refinement``) of at
+    most 22 cells (8 in exact mode), both are lifted onto it, zero beyond
     the shorter support, and every alignment is scored by an exact cut norm.
     Otherwise the difference is applied exactly, as an implicit operator, on
     the (possibly nonuniform) union grid, where ``local_search`` evaluates
@@ -460,18 +451,19 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
 
 
 def _log_candidates(grid: str, cells: int, candidates, winner: CutResult) -> None:
-    """One DEBUG record: the grid, every candidate's cut value, the winner,
-    the heuristic runs the iteration cap stopped and the kernel
-    column-products the heuristic used."""
+    """One DEBUG record of ``(name, cut, permutation)`` candidates: the grid,
+    every candidate's cut value, the winner, the heuristic runs the
+    iteration cap stopped and the kernel column-products the heuristic
+    used."""
     log = logging.getLogger(__name__)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("cut distance on the %s grid of %d cells: %s; %s won; "
                   "%d heuristic runs stopped at the iteration cap; "
                   "%d kernel column-products", grid, cells,
-                  ", ".join(f"{name} {cut.value!r}" for name, cut in candidates),
-                  next(name for name, cut in candidates if cut is winner),
-                  sum(cut.capped_runs for _, cut in candidates),
-                  sum(cut.products for _, cut in candidates))
+                  ", ".join(f"{name} {cut.value!r}" for name, cut, _ in candidates),
+                  next(name for name, cut, _ in candidates if cut is winner),
+                  sum(cut.capped_runs for _, cut, _ in candidates),
+                  sum(cut.products for _, cut, _ in candidates))
 
 
 def _relabel(idx: np.ndarray, perm: np.ndarray) -> np.ndarray:

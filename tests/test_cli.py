@@ -236,6 +236,42 @@ class TestMainEntry:
                                         "message": f"unknown mode {mode!r}"}
         assert not (tmp_path / "out" / "cutdist.json").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cutdist", "a", "b", "--out", "OUT", "--mode", "bogus"],
+         "graphonsp cutdist: argument --mode: invalid choice: 'bogus'"),
+        (["cutdist", "a", "b", "--out", "OUT", "--mode", "heuristic"],
+         "graphonsp cutdist: argument --mode: invalid choice: 'heuristic'"),
+        (["cutdist", "a", "b", "--out", "OUT", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["cutdist", "a", "b"], "the following arguments are required: --out"),
+        (["sample", "--out", "OUT", "--mode", "exact"], "unrecognized arguments: --mode exact"),
+        (["sample", "--out", "OUT", "--edge-scale", "E"],
+         "unrecognized arguments: --edge-scale E"),
+        (["cutdist", "a", "b", "--out", "OUT", "--edge-scale", "E"],
+         "unrecognized arguments: --edge-scale E"),
+        (["fit-filter", "g.txt", "--out", "OUT", "--mode", "exact"],
+         "unrecognized arguments: --mode exact"),
+    ], ids=["bad-mode", "heuristic-alias", "unknown-flag", "missing-out", "sample-mode",
+            "sample-edge-scale", "cutdist-edge-scale", "fit-filter-mode"])
+    def test_usage_error_gives_one_json_error(self, tmp_path, capsys, argv, message):
+        # each flag is accepted only by the command that reads it
+        out = tmp_path / "out"
+        assert main([str(out) if a == "OUT" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "GraphonError" and message in err["message"]
+        assert not out.exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cutdist", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: graphonsp cutdist") and captured.err == ""
+        assert "--mode" in captured.out and "--edge-scale" not in captured.out
+
     def test_mode_flag_overrides_config(self, tmp_path):
         out = tmp_path / "cd"
         rc = main(["cutdist", "celebrity", "celebrity", "--out", str(out),
@@ -243,6 +279,15 @@ class TestMainEntry:
         assert rc == 0
         rep = json.loads((out / "cutdist.json").read_text())
         assert rep["exact"] is True
+
+    def test_edge_scale_flag_overrides_config(self, tmp_path):
+        out = tmp_path / "sp"
+        rc = main(["spectra", str(small_graph_file(tmp_path)), "--out", str(out),
+                   "--edge-scale", "E",
+                   "--config", str(write_config(tmp_path, t_set=[1], growth_batch=50,
+                                                growth_steps=4, tail_from=1, window=2))])
+        assert rc == 0
+        assert json.loads((out / "config.json").read_text())["edge_scale"] == "E"
 
     def test_subprocess_entry(self, tmp_path):
         r = subprocess.run(

@@ -647,7 +647,7 @@ class TestHeuristicStopRule:
 
     @pytest.mark.parametrize("seed", range(32))
     def test_dense_signed_kernels(self, seed):
-        # the dense product cut_norm uses, on 2 to 12 cells
+        # the dense product local search prunes with, on 2 to 12 cells
         w = random_step_graphon(seed, signed=True)
         for restarts in (1, 2, 16, 64):
             self.assert_agrees(w.values.__matmul__, w.k, restarts, seed)
@@ -656,10 +656,17 @@ class TestHeuristicStopRule:
     def test_dense_signed_kernels_columnwise(self, seed):
         # up to 30 cells, a BLAS product can round a column differently
         # with the width of its block, and the two loops form different
-        # blocks; a CSR product computes every column on its own
+        # blocks; a CSR product computes every column on its own, and the
+        # public cut_norm multiplies through one
         w = random_step_graphon(seed, signed=True, kmax=30)
+        csr = sp.csr_matrix(w.values).__matmul__
         for restarts in (1, 2, 16, 64):
-            self.assert_agrees(sp.csr_matrix(w.values).__matmul__, w.k, restarts, seed)
+            self.assert_agrees(csr, w.k, restarts, seed)
+            res = gsp.cut_norm(w, mode="heuristic", restarts=restarts, seed=seed)
+            rows, cols, capped = batched_heuristic_cut(csr, w.k, restarts,
+                                                       substream(seed, 0xC07))
+            assert (list(res.witness_rows), list(res.witness_cols),
+                    res.capped_runs) == (rows, cols, capped)
 
     @staticmethod
     def union_pair(case):
