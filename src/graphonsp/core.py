@@ -1,9 +1,10 @@
 """Core value types: graphs, step graphons, analytic graphon families, signals.
 
 All objects are immutable after construction and safe to share across
-threads.  Step graphons live on a uniform grid over ``[0, t]^2`` and carry
-exact 1- and 2-norms; the analytic families carry closed-form norms and
-pointwise evaluation so that discretization error never enters silently.
+threads.  Step graphons live on a uniform grid over ``[0, t]^2``, hold their
+values as one read-only canonical CSR matrix and carry exact 1- and 2-norms;
+the analytic families carry closed-form norms and pointwise evaluation so
+that discretization error never enters silently.
 """
 
 from __future__ import annotations
@@ -125,10 +126,13 @@ class Graph:
         return np.bincount(self.edge_array.ravel(), minlength=self.n)
 
     def adjacency(self) -> sp.csr_matrix:
-        """Adjacency matrix in CSR form."""
-        r = np.concatenate([self.edge_array[:, 0], self.edge_array[:, 1]])
-        c = np.concatenate([self.edge_array[:, 1], self.edge_array[:, 0]])
-        return sp.csr_matrix((np.ones(r.size), (r, c)), shape=(self.n, self.n))
+        """Adjacency matrix in canonical CSR form (sorted indices, no duplicates)."""
+        n, e = self.n, self.edge_array
+        # one sort of the keys i * n + j of both orientations orders the
+        # entries by row, then column; row i holds degree(i) of them
+        key = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        indptr = np.concatenate([[0], np.cumsum(self.degrees())])
+        return sp.csr_matrix((np.ones(key.size), key % n, indptr), shape=(n, n))
 
     def induced_subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
@@ -167,35 +171,28 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 class _StepBase:
-    """Values on a ``k x k`` grid: a read-only ``ndarray``, or a read-only
-    ``csr_matrix`` in canonical form (float64, duplicates summed, explicit
-    zeros dropped, indices sorted) when built from a sparse matrix."""
+    """Values on a ``k x k`` grid, whatever the input (an ndarray, a nested
+    list or a sparse matrix): a read-only ``csr_matrix`` in canonical form
+    (float64, duplicates summed, explicit zeros dropped, indices sorted)."""
 
     __slots__ = ("k", "t", "values", "value_bound")
 
     def __init__(self, values, t: float, value_bound: float):
-        sparse = sp.issparse(values)
-        if sparse:
-            values = sp.csr_matrix(values, dtype=np.float64, copy=True)
-            values.sum_duplicates()  # also sorts the indices
-            values.eliminate_zeros()
-            arrays = (values.data, values.indices, values.indptr)
-        else:
-            values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-            arrays = (values,)
-        if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.shape[0]:
+        shape = np.shape(values)
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
             raise ValueError("values must be a nonempty square matrix")
+        values = sp.csr_matrix(values, dtype=np.float64, copy=True)
+        values.sum_duplicates()  # also sorts the indices
+        values.eliminate_zeros()
         # sparse == would warn (it is true on every implicit zero); != is not
-        asymmetric = ((values != values.T).nnz if sparse
-                      else not np.array_equal(values, values.T))
-        if asymmetric:
+        if (values != values.T).nnz:
             raise ValueError("values must be symmetric")
         if not (t > 0):
             raise ValueError("support length t must be positive")
         self.k = values.shape[0]
         self.t = float(t)
         self.values = values
-        for a in arrays:
+        for a in (values.data, values.indices, values.indptr):
             a.setflags(write=False)
         self.value_bound = float(value_bound)
         self._check_bound()
@@ -218,12 +215,11 @@ class _StepBase:
 
     @property
     def l1_norm(self) -> float:
-        return self.cell_width**2 * float(np.abs(_stored(self.values)).sum())
+        return self.cell_width**2 * float(np.abs(self.values.data).sum())
 
     @property
     def l2_norm(self) -> float:
-        # squared elementwise on an ndarray: on a sparse matrix ** is a matrix power
-        return self.cell_width * math.sqrt(float((_stored(self.values) ** 2).sum()))
+        return self.cell_width * math.sqrt(float((self.values.data ** 2).sum()))
 
     @property
     def support_length(self) -> float:
@@ -244,13 +240,13 @@ class StepGraphon(_StepBase):
 
     @property
     def l1_norm(self) -> float:
-        # values are nonnegative: same sum as |values|, without a k x k copy
-        return self.cell_width**2 * float(_stored(self.values).sum())
+        # values are nonnegative: same sum as |values|, without a copy of the data
+        return self.cell_width**2 * float(self.values.data.sum())
 
     def _check_bound(self):
-        # initial=0 counts the implicit zeros of a sparse matrix (and reads
-        # no stored value when there is none); it never moves a dense result
-        v = _stored(self.values)
+        # initial=0 counts the implicit zeros (and reads no stored value
+        # when there is none)
+        v = self.values.data
         if v.min(initial=0.0) < 0:
             raise ValueError("step graphon values must be nonnegative")
         if v.max(initial=0.0) > self.value_bound:
@@ -261,7 +257,7 @@ class SignedStepGraphon(_StepBase):
     """Step graphon allowed to take negative values (differences W1 - W2)."""
 
     def _check_bound(self):
-        if np.abs(_stored(self.values)).max(initial=0.0) > self.value_bound:
+        if np.abs(self.values.data).max(initial=0.0) > self.value_bound:
             raise ValueError("absolute value exceeds the stated bound")
 
 
@@ -602,15 +598,15 @@ def _on_uniform(w, k: int, span: float) -> np.ndarray:
     """Values of a step graphon or signal on the ``k``-cell grid over ``[0, span]``.
 
     Each new cell reads the cell of ``w`` under its midpoint (zero beyond
-    ``w``'s support), which is exact when the new grid refines ``w``'s;
-    ``w.values`` comes back untouched (densified if sparse) when ``w``
-    already sits on that grid.  The result is always a dense array.
+    ``w``'s support), which is exact when the new grid refines ``w``'s; a
+    graphon that already sits on that grid comes back as ``values.toarray()``.
+    The result is always a dense array.
     """
-    if w.k == k and w.t == span:
-        return _dense(w.values)
     idx = _cell_index(w, (np.arange(k) + 0.5) * (span / k))
     if w.values.ndim == 1:
         return np.where(idx >= 0, w.values[idx], 0.0)
+    if w.k == k and w.t == span:
+        return w.values.toarray()
     return _lookup(w.values, idx, idx)
 
 
@@ -635,32 +631,17 @@ def _cell_index(w, x) -> np.ndarray:
     return np.where((x >= 0) & (x <= w.t), cell, -1)
 
 
-# Step values are an ndarray or a CSR matrix; these helpers are the only
-# places that tell the two apart.
-
-def _stored(values) -> np.ndarray:
-    """The entries that can be nonzero: a dense array itself, or the data of
-    a sparse matrix (every entry outside it is zero)."""
-    return values.data if sp.issparse(values) else values
-
-
-def _dense(values) -> np.ndarray:
-    """``values`` as an ndarray."""
-    return values.toarray() if sp.issparse(values) else values
-
-
-def _at(values, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _at(values: sp.csr_matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Elementwise ``values[i, j]`` for broadcastable index arrays."""
-    if not sp.issparse(values):
-        return values[i, j]
     i, j = np.broadcast_arrays(i, j)
+    out = values[i.ravel(), j.ravel()]
     # a (1, m) np.matrix, or a sparse (1, 0) matrix when no index is given
-    return np.asarray(_dense(values[i.ravel(), j.ravel()])).reshape(i.shape)
+    return np.asarray(out.toarray() if sp.issparse(out) else out).reshape(i.shape)
 
 
-def _block(values, rows, cols) -> np.ndarray:
+def _block(values: sp.csr_matrix, rows, cols) -> np.ndarray:
     """Dense ``values[rows][:, cols]`` for index sequences."""
-    return _dense(values[np.ix_(rows, cols)])
+    return values[np.ix_(rows, cols)].toarray()
 
 
 def _lookup(values, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

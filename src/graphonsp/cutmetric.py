@@ -229,9 +229,7 @@ def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutRe
         raise ResolutionTooLargeError(
             f"exact cut norm is limited to k <= {EXACT_CUT_LIMIT}, got {w.k}")
     M = w.values
-    # a CSR product sums each column on its own, so the heuristic's witness
-    # does not depend on how BLAS blocks a dense product
-    return _cut(lambda r, c: core._block(M, r, c), sp.csr_matrix(M).__matmul__, w.k,
+    return _cut(lambda r, c: core._block(M, r, c), M.__matmul__, w.k,
                 mode == "exact", restarts, seed, (w.t / w.k) ** 2)
 
 
@@ -337,7 +335,7 @@ def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
         def score(pa, pb, exact):
             # every candidate keeps b in its own frame here: pb is the identity
             M = va[np.ix_(pa, pa)] - vb
-            return _cut(lambda r, c: core._block(M, r, c), M.__matmul__, k, exact,
+            return _cut(lambda r, c: M[np.ix_(r, c)], M.__matmul__, k, exact,
                         restarts, seed, area)
 
         shared, exact_cuts, da, db = True, True, va, vb
@@ -347,10 +345,9 @@ def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
         widths, ia, ib = ((np.full(a.k, a.cell_width), np.arange(a.k), np.arange(a.k))
                           if shared else core.union_grid(a, b))
         k = widths.size
-        Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
 
         def score(pa, pb, exact):
-            kern = _UnionKernel(widths, Va, _relabel(ia, pa), Vb, _relabel(ib, pb))
+            kern = _UnionKernel(widths, a.values, _relabel(ia, pa), b.values, _relabel(ib, pb))
             return _cut(kern.block, kern.matmat, k, exact, restarts, seed)
 
         exact_cuts, da, db = mode == "exact" and k <= EXACT_CUT_LIMIT, a.values, b.values

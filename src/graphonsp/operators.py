@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial import chebyshev as cheb
 
 from . import core, spectral
@@ -96,11 +97,11 @@ class GraphonOperator:
     def is_step(self) -> bool:
         return isinstance(self.kernel, StepGraphon)
 
-    def matrix(self) -> np.ndarray:
-        """Symmetric matrix acting on cell-value vectors of the operator grid."""
+    def matrix(self) -> sp.csr_matrix:
+        """Symmetric CSR matrix acting on cell-value vectors of the operator grid."""
         if not self.is_step:
             raise StepRequiredError("rank-one kernels have no finite matrix")
-        return core._dense(self.kernel.values) * self.kernel.cell_width
+        return self.kernel.values * self.kernel.cell_width
 
     def __call__(self, f: StepSignal) -> StepSignal:
         return apply(self, f)
@@ -242,7 +243,7 @@ def apply_spectral(h: SpectralFilter, op: GraphonOperator, f: StepSignal,
     k = op.kernel
     if k_eigs < 1 or k_eigs > k.k:
         raise ValueError("k_eigs must lie in [1, grid size]")
-    K = k.values * k.cell_width   # CSR stays CSR: eigensolve takes either
+    K = op.matrix()
     fbar = _cell_integrals(f, core._edges(k)) / k.cell_width   # cell means on the operator grid
 
     kn = min(k_eigs, k.k - k_eigs)   # the two ends never share an eigenvalue
@@ -270,7 +271,7 @@ def chebyshev_polynomial_apply(h: SpectralFilter, op: GraphonOperator,
     k = op.kernel
     a, b = h.interval
     fbar = _cell_integrals(f, core._edges(k)) / k.cell_width
-    K = k.values * k.cell_width   # CSR stays CSR
+    K = op.matrix()
 
     def u(vec):
         return (2.0 * (K @ vec) - (a + b) * vec) / (b - a)

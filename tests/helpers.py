@@ -11,6 +11,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from graphonsp import SignedStepGraphon, StepGraphon
 from graphonsp.rng import substream
@@ -28,13 +29,18 @@ def random_step_graphon(seed, k=None, t=None, signed=False, kmax=12):
     return cls(v, t, 1.0)
 
 
+def dense(values) -> np.ndarray:
+    """Step values as an ndarray: a sparse matrix densified, an array as is."""
+    return values.toarray() if sp.issparse(values) else np.asarray(values)
+
+
 def brute_force_cut_norm(w) -> float:
     """Enumerate every (row subset, column subset) pair directly.
 
     Independent of the library's exact mode, which never enumerates column
     subsets (it derives the optimal columns per row subset).
     """
-    M = w.values
+    M = dense(w.values)
     k = w.k
     area = (w.t / w.k) ** 2
     subsets = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.float64)
@@ -51,7 +57,7 @@ def sorted_cut_value(M, rows, cols, area=1.0) -> float:
     """Canonical evaluation: sorted summation is orientation-invariant."""
     if len(rows) == 0 or len(cols) == 0:
         return 0.0
-    return abs(area * float(np.sort(M[np.ix_(rows, cols)], axis=None).sum()))
+    return abs(area * float(np.sort(dense(M)[np.ix_(rows, cols)], axis=None).sum()))
 
 
 def plain_local_search(va, vb, iters):

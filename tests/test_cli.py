@@ -1,8 +1,10 @@
 import hashlib
 import json
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,10 +292,14 @@ class TestMainEntry:
         assert json.loads((out / "config.json").read_text())["edge_scale"] == "E"
 
     def test_subprocess_entry(self, tmp_path):
+        # the child imports the package this test imported, installed or not
+        src = str(Path(gsp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         r = subprocess.run(
             [sys.executable, "-m", "graphonsp.cli", "cutdist", "celebrity",
              "celebrity", "--out", str(tmp_path / "sp")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert r.returncode == 0
 
 

@@ -139,7 +139,7 @@ class TestCutNorm:
             w = random_step_graphon(seed, k=12, signed=True)
             restarts = (1, 2, 16)[seed % 3]
             res = gsp.cut_norm(w, mode="heuristic", restarts=restarts, seed=seed)
-            rows, cols = sequential_heuristic_cut(w.values, restarts,
+            rows, cols = sequential_heuristic_cut(w.values.toarray(), restarts,
                                                   substream(seed, 0xC07))
             area = (w.t / w.k) ** 2
             assert res.value == sorted_cut_value(w.values, rows, cols, area)
@@ -378,7 +378,7 @@ class TestStretchedCutDistance:
         assert res.exact and res.permutation is not None
         lifted = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
         oracle = min(brute_force_cut_norm(gsp.SignedStepGraphon(
-            lifted[np.ix_(p, p)] - b.values, 0.75, 8.0))
+            lifted[np.ix_(p, p)] - b.values.toarray(), 0.75, 8.0))
             for p in itertools.permutations(range(3)))
         assert res.distance == pytest.approx(oracle, abs=1e-15)
 

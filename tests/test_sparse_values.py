@@ -1,8 +1,10 @@
-"""Step graphons hold either a dense array or a CSR matrix of values.
+"""Every step graphon holds its values as one read-only canonical CSR matrix.
 
-Graph embeddings store CSR; every reader must give the same answer, to the
-bit, as on the dense copy of the same values.  Values here are 0/1 (or
-small dyadic numbers), so every sum is exact in any order.
+Whatever the input (an ndarray, a nested list or a sparse matrix), the
+stored matrix is the same, and every reader must give the same answer, to
+the bit, for a graphon built from a dense array as for one built from a CSR
+matrix of the same values.  Values here are 0/1 (or small dyadic numbers),
+so every sum is exact in any order.
 """
 
 import math
@@ -24,7 +26,8 @@ def random_graph(seed, n, m):
 
 
 def pair(seed, n, m, t=1.0):
-    """The same random adjacency as a CSR-valued and a dense-valued graphon."""
+    """The same random adjacency as a graphon built from a CSR matrix and one
+    built from a dense array."""
     A = random_graph(seed, n, m).adjacency()
     return gsp.StepGraphon(A, t, 1.0), gsp.StepGraphon(A.toarray(), t, 1.0)
 
@@ -40,12 +43,58 @@ def ring_with_chords(n):
 SEEDS = range(6)
 
 
+def assert_canonical(w):
+    """``w.values`` is a float64 canonical CSR matrix with read-only arrays."""
+    V = w.values
+    assert isinstance(V, sp.csr_matrix) and V.dtype == np.float64
+    assert V.has_canonical_format and np.all(V.data != 0.0)
+    for a in (V.data, V.indices, V.indptr):
+        assert not a.flags.writeable
+
+
+_SYM = np.array([[0.0, 0.5, -0.25], [0.5, 1.0, 0.0], [-0.25, 0.0, 0.0]])
+_CYCLE = gsp.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+CONSTRUCTORS = {
+    "step-ndarray": lambda: gsp.StepGraphon(np.abs(_SYM), 1.0, 1.0),
+    "step-list": lambda: gsp.StepGraphon(np.abs(_SYM).tolist(), 1.0, 1.0),
+    "step-csr": lambda: gsp.StepGraphon(sp.csr_matrix(np.abs(_SYM)), 1.0, 1.0),
+    "signed-ndarray": lambda: gsp.SignedStepGraphon(_SYM, 1.0, 1.0),
+    "signed-list": lambda: gsp.SignedStepGraphon(_SYM.tolist(), 1.0, 1.0),
+    "signed-csr": lambda: gsp.SignedStepGraphon(sp.csr_matrix(_SYM), 1.0, 1.0),
+    "restrict-step": lambda: gsp.restrict(gsp.canonical_graphon(_CYCLE), 0.5),
+    "restrict-analytic": lambda: gsp.restrict(gsp.RankOneExp(1.0, 1.0), 4.0, resolution=8),
+    "as_step-box": lambda: gsp.as_step(gsp.ConstantBox(0.5, 2.0)),
+    "as_step-empty-box": lambda: gsp.as_step(gsp.ConstantBox(0.0, 2.0)),
+    "as_step-r1e": lambda: gsp.as_step(gsp.RankOneExp(1.0, 2.0), resolution=6),
+    "step_difference": lambda: gsp.step_difference(
+        gsp.canonical_graphon(_CYCLE), gsp.as_step(gsp.ConstantBox(0.5, 0.5))),
+    "canonical_graphon": lambda: gsp.canonical_graphon(random_graph(0, 30, 60)),
+    "normalized_graphon": lambda: gsp.normalized_graphon(_CYCLE),
+}
+
+
 class TestCanonicalForm:
     def test_embeddings_store_csr(self):
         g = random_graph(0, 30, 60)
         for w in (gsp.canonical_graphon(g), gsp.normalized_graphon(
                 gsp.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))):
             assert isinstance(w.values, sp.csr_matrix)
+
+    @pytest.mark.parametrize("name", list(CONSTRUCTORS))
+    def test_every_constructor_stores_canonical_csr(self, name):
+        assert_canonical(CONSTRUCTORS[name]())
+
+    @pytest.mark.parametrize("cls, values", [(gsp.StepGraphon, np.abs(_SYM)),
+                                             (gsp.SignedStepGraphon, _SYM)])
+    def test_dense_list_and_csr_inputs_store_equal_arrays(self, cls, values):
+        stored = [cls(v, 1.0, 1.0).values for v in (values, values.tolist(),
+                                                    sp.csr_matrix(values),
+                                                    sp.coo_matrix(values))]
+        for V in stored[1:]:
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(V, name), getattr(stored[0], name))
+        assert np.array_equal(stored[0].toarray(), values)
 
     def test_normalized_values_match_dense_construction(self):
         g = random_graph(1, 12, 40)
@@ -76,6 +125,35 @@ class TestCanonicalForm:
         assert w.values.nnz == 0
         assert (w.l1_norm, w.l2_norm) == (0.0, 0.0)
         assert w.eval(0.5, 0.5) == 0.0
+
+
+class TestAdjacency:
+    @staticmethod
+    def oracle(g):
+        e = g.edge_array
+        r, c = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+        return sp.coo_matrix((np.ones(r.size), (r, c)), shape=(g.n, g.n)).tocsr()
+
+    def assert_matches_oracle(self, g):
+        A, want = g.adjacency(), self.oracle(g)
+        assert isinstance(A, sp.csr_matrix) and A.shape == (g.n, g.n)
+        assert A.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, name), getattr(want, name))
+        assert np.array_equal(A.toarray(), want.toarray())
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_graphs_match_coo_oracle(self, seed):
+        rng = substream(seed, 0xAD1)
+        n = int(rng.integers(2, 60))
+        pairs = rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))
+        self.assert_matches_oracle(gsp.Graph(n, pairs[pairs[:, 0] != pairs[:, 1]]))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_graphs_without_edges(self, n):
+        g = gsp.Graph(n, [])
+        self.assert_matches_oracle(g)
+        assert g.adjacency().nnz == 0
 
 
 class TestRejections:
@@ -138,7 +216,7 @@ class TestReadersAgree:
         for t_m in (0.25, 0.5, 1.0):
             rs, rd = gsp.restrict(s, t_m), gsp.restrict(d, t_m)
             assert (rs.k, rs.t) == (rd.k, rd.t)
-            assert np.array_equal(rs.values, rd.values)
+            assert np.array_equal(rs.values.toarray(), rd.values.toarray())
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_exact_cut_norm(self, seed):
@@ -160,8 +238,8 @@ class TestReadersAgree:
         # cells of width 1/8 and integer signal values keep every sum exact
         s, d = pair(seed, 24, 70, t=3.0)
         ops, opd = (gsp.GraphonOperator(w, 1.0) for w in (s, d))
-        assert isinstance(ops.matrix(), np.ndarray)
-        assert np.array_equal(ops.matrix(), opd.matrix())
+        assert isinstance(ops.matrix(), sp.csr_matrix)
+        assert np.array_equal(ops.matrix().toarray(), opd.matrix().toarray())
         f = gsp.StepSignal(substream(seed, 0xF).integers(-4, 5, 24).astype(float), 3.0)
         fs, fd = gsp.apply(ops, f), gsp.apply(opd, f)
         assert (fs.k, fs.t) == (fd.k, fd.t)
