@@ -332,11 +332,13 @@ def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
         va, vb = core._on_uniform(a, k, T), core._on_uniform(b, k, T)
         area = (T / k) ** 2
 
-        def score(pa, pb, exact):
-            # every candidate keeps b in its own frame here: pb is the identity
-            M = va[np.ix_(pa, pa)] - vb
+        def cut_of(M, exact):
             return _cut(lambda r, c: M[np.ix_(r, c)], M.__matmul__, k, exact,
                         restarts, seed, area)
+
+        def score(pa, pb, exact):
+            # every candidate keeps b in its own frame here: pb is the identity
+            return cut_of(va[np.ix_(pa, pa)] - vb, exact)
 
         shared, exact_cuts, da, db = True, True, va, vb
     else:
@@ -368,44 +370,66 @@ def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
         tried = [(name, score(pa, pb, exact_cuts), pa) for name, pa, pb in maps]
         if lift and mode == "local_search":
             _, cut, perm = min(tried, key=lambda c: c[1].value)
-            m = 4 * k**2 * np.finfo(float).eps * area * (np.abs(va).sum() + np.abs(vb).sum())
-            tried.append(("local_search", *_local_search(score, cut, perm, iters, m)))
+            tried.append(("local_search", *_local_search(va, vb, area, cut_of, cut,
+                                                         perm, iters)))
     _, cut, perm = min(tried, key=lambda c: c[1].value)
     _log_candidates("uniform" if lift else "union", k, tried, cut)
     return AlignmentResult(cut.value, tuple(int(i) for i in perm) if shared else None,
                            lift, cut)
 
 
-def _local_search(score, cut: CutResult, perm: np.ndarray, iters: int, m: float):
+def _local_search(va, vb, area: float, cut_of, cut: CutResult, perm: np.ndarray,
+                  iters: int):
     """Pairwise label swaps of ``perm``, whose cut is ``cut``, for up to
-    ``iters`` passes, scored by :func:`_compare`'s uniform-grid ``score``
-    with rounding margin ``m``; returns the final cut and permutation."""
+    ``iters`` passes on :func:`_compare`'s uniform grid of lifted values
+    ``va`` and ``vb`` and cell area ``area``, where ``cut_of(M, exact)``
+    cuts the trial kernel ``M = va[perm][:, perm] - vb``; returns the final
+    cut and permutation.
+
+    A trial is pruned when a cached witness rectangle (the incumbent's, and
+    that of every heuristic and exact cut found so far) already shows its
+    cut norm above the incumbent's less the rounding margin ``m``; else
+    when the heuristic does; else its exact cut norm decides."""
     # Rounding bound m, with u = eps/2 and A = sum|va| + sum|vb|, which
-    # bounds the |entries| of every trial kernel M.  A value is _evaluate
-    # at a witness: a sum of <= k^2 terms, in any order, times area, so it
-    # is within area*A*(k^2 + 1)*u of the witness's real value.  The
-    # enumerator's column sums and their positive (negative) parts are
-    # within 2k*u*A of the real ones, so its argmax row set loses <= 4k*u*A
-    # of the unscaled cut norm, and the columns read off it another k*u*A.
-    # The heuristic witness is real, so its value is below the cut norm:
-    # trial >= lb - area*A*(2k^2 + 5k + 2)*u, and for k >= 2 the margin
-    # m = 8k^2*u*area*A covers this and the higher-order terms.  A prune
-    # (lb > current - m) thus implies trial > current - 2m, never an
+    # bounds the |entries| of every trial kernel M.  A value is _evaluate at
+    # a witness, or a cached rectangle scored on M by two matrix products:
+    # a sum of <= k^2 terms, in any order, times area, so it is within
+    # area*A*(k^2 + 1)*u of the rectangle's real value.  The enumerator's
+    # column sums and their positive (negative) parts are within 2k*u*A of
+    # the real ones, so its argmax row set loses <= 4k*u*A of the unscaled
+    # cut norm, and the columns read off it another k*u*A.  A heuristic or
+    # cached rectangle is a witness of M too, so its real value is below
+    # the cut norm: trial >= lb - area*A*(2k^2 + 5k + 2)*u, and for k >= 2
+    # the margin m = 8k^2*u*area*A covers this and the higher-order terms.
+    # A prune (lb > current - m) thus implies trial > current - 2m, never an
     # accepted swap, and gains below 2m are rounding noise, not progress.
     k = perm.size
-    ident = np.arange(k)
+    m = 4 * k**2 * np.finfo(float).eps * area * (np.abs(va).sum() + np.abs(vb).sum())
     perm = perm.copy()
-    pruned = evaluated = accepted = 0
+    S = np.zeros((0, k))
+    T = np.zeros((0, k))
+
+    def remember(c: CutResult) -> CutResult:
+        nonlocal S, T
+        S, T = np.vstack([S, np.zeros(k)]), np.vstack([T, np.zeros(k)])
+        S[-1, list(c.witness_rows)] = T[-1, list(c.witness_cols)] = 1.0
+        return c
+
+    remember(cut)
+    pruned = evaluated = accepted = cached = 0
     for passes in range(1, iters + 1):
         improved = False
         for i in range(k - 1):
             for j in range(i + 1, k):
                 perm[i], perm[j] = perm[j], perm[i]
-                if score(perm, ident, False).value > cut.value - m:
+                M = va[np.ix_(perm, perm)] - vb
+                if area * np.abs(((S @ M) * T).sum(axis=1)).max() > cut.value - m:
+                    cached += 1
+                elif remember(cut_of(M, False)).value > cut.value - m:
                     pruned += 1
                 else:
                     evaluated += 1
-                    trial = score(perm, ident, True)
+                    trial = remember(cut_of(M, True))
                     if trial.value < cut.value - 2 * m:
                         cut = trial
                         improved = True
@@ -414,9 +438,11 @@ def _local_search(score, cut: CutResult, perm: np.ndarray, iters: int, m: float)
                 perm[i], perm[j] = perm[j], perm[i]
         if not improved:
             break
+    trials = passes * k * (k - 1) // 2
     logging.getLogger(__name__).debug(
         "local search on %d cells: %d trials, %d pruned, %d exact evaluations, "
-        "%d swaps accepted", k, passes * k * (k - 1) // 2, pruned, evaluated, accepted)
+        "%d swaps accepted, %d pruned by a cached witness, %d heuristic runs",
+        k, trials, pruned + cached, evaluated, accepted, cached, trials - cached)
     return cut, perm
 
 

@@ -8,11 +8,13 @@ and ``lambda_{-1} <= lambda_{-2} <= ...`` used throughout.
 Dimensions up to ``dense_threshold`` go through LAPACK (a full ``eigh``);
 above that ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``
 with ``which='BE'``) extracts both spectrum ends in one call.  Either way the
-residuals ``||A v - lambda v||`` are checked after the solve.
+residuals ``||A v - lambda v||`` are checked after the solve, and one DEBUG
+record names the path, the dimension, both counts and the largest residual.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -105,7 +107,8 @@ def eigensolve(obj, k_pos: int = 1, k_neg: int = 1, tol: float = 1e-8,
         _check_symmetric(A)
 
     k = 2 * max(k_pos, k_neg)   # 'BE' splits k evenly between the two ends
-    if dim <= dense_threshold or k >= dim:
+    dense = dim <= dense_threshold or k >= dim
+    if dense:
         vals, vecs = scipy.linalg.eigh(A.toarray() if sp.issparse(A) else A)
     else:
         # imported here: loading ARPACK costs every command that never solves
@@ -122,9 +125,13 @@ def eigensolve(obj, k_pos: int = 1, k_neg: int = 1, tol: float = 1e-8,
     vals, vecs = vals[pick], vecs[:, pick]
     res = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
     thresh = tol * max(1.0, float(np.abs(vals).max()))
-    if res.max() > thresh:
+    worst = res.max()
+    logging.getLogger(__name__).debug(
+        "eigensolve by %s on %d dimensions: k_pos %d, k_neg %d; largest residual "
+        "%.3g against %.3g", "eigh" if dense else "eigsh", dim, k_pos, k_neg, worst, thresh)
+    if worst > thresh:
         raise EigenConvergenceError(
-            f"eigenpair residual {res.max():.3g} exceeds {thresh:.3g}", residuals=res)
+            f"eigenpair residual {worst:.3g} exceeds {thresh:.3g}", residuals=res)
     return EigenReport(vals[:k_pos], vals[k_pos:], res[:k_pos], res[k_pos:],
                        vecs[:, :k_pos] if vectors else None,
                        vecs[:, k_pos:] if vectors else None)

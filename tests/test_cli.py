@@ -383,6 +383,26 @@ class TestDeterminism:
                    for r in caplog.records) == 4
         assert read_tree(tmp_path / "quiet") == read_tree(tmp_path / "debug")
 
+    def test_spectra_outputs_do_not_depend_on_debug_logging(self, tmp_path, caplog):
+        # a dense random graph keeps every vertex of its 150- and 300-vertex
+        # subgraphs; the second is above the dense threshold, so both
+        # solver paths log
+        iu = np.column_stack(np.triu_indices(300, 1))
+        pick = np.random.default_rng(5).random(len(iu)) < 0.1
+        g_path = tmp_path / "g.txt"
+        gsp.write_edge_list(gsp.Graph(300, iu[pick]), g_path)
+        cfg = RunConfig(seed=2, growth_batch=150, growth_steps=2, t_set=[1, -1],
+                        tail_from=0, window=2)
+        cmd_spectra(cfg, g_path, tmp_path / "quiet")
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="graphonsp"):
+            cmd_spectra(cfg, g_path, tmp_path / "debug")
+        solves = [r.getMessage() for r in caplog.records if r.name == "graphonsp.spectral"]
+        assert [m.split(":")[0] for m in solves] == [
+            "eigensolve by eigh on 150 dimensions", "eigensolve by eigsh on 300 dimensions"]
+        assert all("k_pos 1, k_neg 1; largest residual" in m for m in solves)
+        assert read_tree(tmp_path / "quiet") == read_tree(tmp_path / "debug")
+
     def test_library_logger_has_a_null_handler(self):
         assert any(isinstance(h, logging.NullHandler)
                    for h in logging.getLogger("graphonsp").handlers)

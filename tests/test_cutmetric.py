@@ -255,15 +255,19 @@ class TestCutDistance:
         rng = substream(5, 0x10CA1)
         ga, gb = (gsp.Graph(14, np.column_stack(np.nonzero(np.triu(
             two_block_adjacency(rng, 14, 38, 7))))) for _ in range(2))
-        calls = []
+        calls, runs = [], []
         exact = cutmetric._bilinear_max_exact
+        heuristic = cutmetric._bilinear_max_heuristic
         monkeypatch.setattr(cutmetric, "_bilinear_max_exact",
                             lambda M: calls.append(1) or exact(M))
+        monkeypatch.setattr(cutmetric, "_bilinear_max_heuristic",
+                            lambda *args: runs.append(1) or heuristic(*args))
         res = gsp.stretched_cut_distance(gsp.canonical_graphon(ga),
                                          gsp.canonical_graphon(gb),
                                          mode="local_search", seed=5)
         assert res.exact and res.permutation is not None
         assert len(calls) <= 40   # every swap trial enumerated: 184 calls
+        assert len(runs) <= 30    # a heuristic run on every trial: 182 runs
 
     def test_local_search_logs_its_counts(self, caplog):
         caplog.set_level(logging.DEBUG, logger="graphonsp")
@@ -272,10 +276,12 @@ class TestCutDistance:
         gsp.cut_distance_steps(a, b, mode="local_search", iters=2, seed=3)
         (rec,) = [r for r in caplog.records if r.name == "graphonsp.cutmetric"
                   and r.getMessage().startswith("local search")]
-        k, trials, pruned, evaluated, accepted = rec.args
+        k, trials, pruned, evaluated, accepted, cached, runs = rec.args
         assert k == 6 and trials in (15, 30)
         assert pruned + evaluated == trials
         assert accepted <= evaluated
+        assert cached <= pruned
+        assert runs == trials - cached
 
     def test_heuristic_counts_runs_stopped_by_the_cap(self):
         # a kernel whose products are fresh noise never lets a run settle
