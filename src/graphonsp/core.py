@@ -639,17 +639,12 @@ def _at(values: sp.csr_matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.asarray(out.toarray() if sp.issparse(out) else out).reshape(i.shape)
 
 
-def _block(values: sp.csr_matrix, rows, cols) -> np.ndarray:
-    """Dense ``values[rows][:, cols]`` for index sequences."""
-    return values[np.ix_(rows, cols)].toarray()
-
-
 def _lookup(values, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Dense ``values[rows][:, cols]`` for index maps, zero where an index is -1."""
     out = np.zeros((rows.size, cols.size))
     ri, ci = np.nonzero(rows >= 0)[0], np.nonzero(cols >= 0)[0]
     if ri.size and ci.size:
-        out[np.ix_(ri, ci)] = _block(values, rows[ri], cols[ci])
+        out[np.ix_(ri, ci)] = values[np.ix_(rows[ri], cols[ci])].toarray()
     return out
 
 

@@ -9,7 +9,9 @@ exceeds the exact value.
 
 Both cut distances end in one comparison routine, ``_compare``: the grid
 fixes only how a candidate relabeling's difference kernel is cut by the one
-engine ``_cut``, and the candidates, winner, log and result are shared.
+engine ``_cut``, which reads it through its product and a witness value
+(summed over stored entries on the union grid, with no dense block), and
+the candidates, winner, log and result are shared.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class CutResult:
 
     def recompute(self, w) -> float:
         """Re-evaluate the bilinear objective at the stored witnesses."""
-        area = (w.t / w.k) ** 2
-        return _evaluate(core._block(w.values, self.witness_rows, self.witness_cols), area)
+        rows, cols = np.ix_(self.witness_rows, self.witness_cols)
+        return _evaluate(w.values[rows, cols].toarray(), (w.t / w.k) ** 2)
 
 
 @dataclass(frozen=True)
@@ -184,36 +186,33 @@ def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
     return rows, cols, int(active.size), products
 
 
-def _evaluate(sub: np.ndarray, area: float) -> float:
-    """Canonical witness evaluation: selected entries summed in sorted order.
+def _evaluate(terms: np.ndarray, area: float) -> float:
+    """Canonical witness value: the terms summed in sorted order, times ``area``.
 
-    ``sub`` is the kernel restricted to the witness rows and columns.  On a
-    symmetric kernel the pairs (S, T) and (T, S) select the same multiset of
-    entries; sorting before summation makes the float result identical for
+    ``terms`` lists the kernel's contributions to a witness rectangle.  On a
+    symmetric kernel the pairs (S, T) and (T, S) give the same multiset of
+    terms; sorting before summation makes the float result identical for
     both, so independent maximizers agree bit-for-bit.
     """
-    if not sub.size:
-        return 0.0
-    return abs(area * float(np.sort(sub, axis=None).sum()))
+    return abs(area * float(np.sort(terms, axis=None).sum()))
 
 
-def _cut(block, matmat, k: int, exact: bool, restarts: int, seed: int,
-         area: float = 1.0) -> CutResult:
-    """Cut norm of a symmetric ``k x k`` kernel with cells of the given area.
+def _cut(matmat, value, k: int, exact: bool, restarts: int, seed: int) -> CutResult:
+    """Cut norm of a symmetric ``k x k`` kernel read through two functions.
 
-    ``block(rows, cols)`` returns the dense sub-kernel and ``matmat(X)`` the
-    product with a ``k x c`` block.  Exact mode enumerates the full kernel;
+    ``matmat(X)`` returns the product with a ``k x c`` block and
+    ``value(rows, cols)`` the canonical value (see :func:`_evaluate`) of a
+    witness rectangle.  Exact mode enumerates the kernel ``matmat(eye(k))``;
     heuristic mode runs on ``matmat`` with the ``0xC07`` substream of
     ``seed``.  The value is re-evaluated at the witness sets.
     """
     capped = products = 0
     if exact:
-        rows, cols = _bilinear_max_exact(block(np.arange(k), np.arange(k)))
+        rows, cols = _bilinear_max_exact(matmat(np.eye(k)))
     else:
         rows, cols, capped, products = _bilinear_max_heuristic(
             matmat, k, restarts, substream(seed, 0xC07))
-    value = _evaluate(block(rows, cols), area)
-    return CutResult(value, tuple(rows), tuple(cols), exact, capped, products)
+    return CutResult(value(rows, cols), tuple(rows), tuple(cols), exact, capped, products)
 
 
 def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutResult:
@@ -228,9 +227,9 @@ def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutRe
     if mode == "exact" and w.k > EXACT_CUT_LIMIT:
         raise ResolutionTooLargeError(
             f"exact cut norm is limited to k <= {EXACT_CUT_LIMIT}, got {w.k}")
-    M = w.values
-    return _cut(lambda r, c: core._block(M, r, c), M.__matmul__, w.k,
-                mode == "exact", restarts, seed, (w.t / w.k) ** 2)
+    M, area = w.values, (w.t / w.k) ** 2
+    return _cut(M.__matmul__, lambda r, c: _evaluate(M[np.ix_(r, c)].toarray(), area),
+                w.k, mode == "exact", restarts, seed)
 
 
 class _UnionKernel:
@@ -253,24 +252,31 @@ class _UnionKernel:
                 raise ValueError("union cells outside a support must come last")
             Q = sp.csr_matrix((widths[inside], (idx[inside], inside)),
                               shape=(V.shape[0], idx.size))
-            self.sides.append((V, idx, Q, idx[inside]))
+            self.sides.append((V, Q, idx[inside]))
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         # each column as widths * (za - zb); a union cell outside a support
         # reads zero, and z - 0.0 == z, so zb is subtracted inside b's only
-        (Va, _, Qa, head_a), (Vb, _, Qb, head_b) = self.sides
+        (Va, Qa, head_a), (Vb, Qb, head_b) = self.sides
         z = np.zeros((self.widths.size, X.shape[1]))
         # every index is valid: "clip" lets take write into z unbuffered
         np.take(Va @ (Qa @ X), head_a, axis=0, out=z[:head_a.size], mode="clip")
         z[:head_b.size] -= np.take(Vb @ (Qb @ X), head_b, axis=0)
         return np.multiply(self.widths[:, None], z, out=z)
 
-    def block(self, rows, cols) -> np.ndarray:
-        """Dense ``M[rows][:, cols]``, bit-identical to the materialized kernel."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        va, vb = (core._lookup(V, idx[rows], idx[cols]) for V, idx, _, _ in self.sides)
-        return (va - vb) * np.outer(self.widths[rows], self.widths[cols])
+    def value(self, rows, cols) -> float:
+        """Value of the witness ``rows x cols`` in ``O(nnz + U)``: per input,
+        ``r = Q @ 1_rows`` and ``c = Q @ 1_cols`` sum the witness widths per
+        input cell, and each stored entry ``v`` at ``(i, j)`` gives the term
+        ``v * (r_i * c_j)``, a's positive and b's negated; that of ``(j, i)``
+        is the same term for ``(cols, rows)``."""
+        sel = np.zeros((self.widths.size, 2))
+        sel[rows, 0] = sel[cols, 1] = 1.0
+        terms = []
+        for sign, (V, Q, _) in zip((1.0, -1.0), self.sides):
+            (r, c), E = (Q @ sel).T, V.tocoo()
+            terms.append(sign * E.data * (r[E.row] * c[E.col]))
+        return _evaluate(np.concatenate(terms), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +339,8 @@ def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
         area = (T / k) ** 2
 
         def cut_of(M, exact):
-            return _cut(lambda r, c: M[np.ix_(r, c)], M.__matmul__, k, exact,
-                        restarts, seed, area)
+            return _cut(M.__matmul__, lambda r, c: _evaluate(M[np.ix_(r, c)], area),
+                        k, exact, restarts, seed)
 
         def score(pa, pb, exact):
             # every candidate keeps b in its own frame here: pb is the identity
@@ -350,7 +356,7 @@ def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
 
         def score(pa, pb, exact):
             kern = _UnionKernel(widths, a.values, _relabel(ia, pa), b.values, _relabel(ib, pb))
-            return _cut(kern.block, kern.matmat, k, exact, restarts, seed)
+            return _cut(kern.matmat, kern.value, k, exact, restarts, seed)
 
         exact_cuts, da, db = mode == "exact" and k <= EXACT_CUT_LIMIT, a.values, b.values
 

@@ -154,12 +154,11 @@ def _shift_scale(g: Graph, scaling: str) -> float:
 
 
 def fit_filter(f: np.ndarray, g_out: np.ndarray, graph: Graph, d: int,
-               scaling: str = "generalized",
-               condition_limit: float = CONDITION_LIMIT) -> FilterFitResult:
+               scaling: str = "generalized") -> FilterFitResult:
     """Least-squares polynomial filter in the scaled shift ``S``.
 
     The design ``[f, S f, ..., S^d f]`` is column-norm equilibrated and
-    solved by QR; a condition number above ``condition_limit`` (after
+    solved by QR; a condition number above ``CONDITION_LIMIT`` (after
     equilibration) raises, recommending a lower degree.
     """
     f = np.asarray(f, dtype=np.float64)
@@ -180,9 +179,9 @@ def fit_filter(f: np.ndarray, g_out: np.ndarray, graph: Graph, d: int,
     Xe = X / norms
     Q, R = np.linalg.qr(Xe)
     condition = float(np.linalg.cond(R))
-    if not np.isfinite(condition) or condition > condition_limit:
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise RankDeficientError(
-            f"design condition {condition:.3e} exceeds {condition_limit:.1e}; "
+            f"design condition {condition:.3e} exceeds {CONDITION_LIMIT:.1e}; "
             f"use a lower degree than {d}")
     coef = scipy.linalg.solve_triangular(R, Q.T @ g_out)
     coef = coef / norms

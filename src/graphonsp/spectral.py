@@ -5,7 +5,7 @@ the ``(i+1)``-th algebraically largest and ``negative[i]`` the ``(i+1)``-th
 smallest, matching the two-sided indexing ``lambda_1 >= lambda_2 >= ... ``
 and ``lambda_{-1} <= lambda_{-2} <= ...`` used throughout.
 
-Dimensions up to ``dense_threshold`` go through LAPACK (a full ``eigh``);
+Dimensions up to ``DENSE_THRESHOLD`` go through LAPACK (a full ``eigh``);
 above that ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``
 with ``which='BE'``) extracts both spectrum ends in one call.  Either way the
 residuals ``||A v - lambda v||`` are checked after the solve, and one DEBUG
@@ -89,8 +89,7 @@ def _check_symmetric(m) -> None:
 
 
 def eigensolve(obj, k_pos: int = 1, k_neg: int = 1, tol: float = 1e-8,
-               dense_threshold: int = DENSE_THRESHOLD, vectors: bool = False,
-               seed: int = 0) -> EigenReport:
+               vectors: bool = False, seed: int = 0) -> EigenReport:
     """Extreme eigenpairs of a graph adjacency or symmetric kernel matrix.
 
     Returns the ``k_pos`` algebraically largest and ``k_neg`` smallest
@@ -107,7 +106,7 @@ def eigensolve(obj, k_pos: int = 1, k_neg: int = 1, tol: float = 1e-8,
         _check_symmetric(A)
 
     k = 2 * max(k_pos, k_neg)   # 'BE' splits k evenly between the two ends
-    dense = dim <= dense_threshold or k >= dim
+    dense = dim <= DENSE_THRESHOLD or k >= dim
     if dense:
         vals, vecs = scipy.linalg.eigh(A.toarray() if sp.issparse(A) else A)
     else:

@@ -77,6 +77,29 @@ def dense_union_kernel(a, b):
     return (va - vb) * np.outer(widths, widths)
 
 
+def union_value_bound(a, b, rows, cols) -> float:
+    """Bound ``c * eps * mass`` on how far the union kernel's witness value
+    may lie from the same rectangle summed over :func:`dense_union_kernel`.
+
+    Here ``mass`` sums ``(|va| + |vb|) w_u w_v`` over ``rows x cols``, and
+    ``u = eps / 2``.  The library sums ``N`` terms ``v * (r_i * c_j)``, one
+    per stored entry of either input, where ``r_i`` and ``c_j`` each add at
+    most ``U`` union widths: every term lies within ``(2U + 2) u`` of its real
+    value, and a sum of ``N`` terms in any order adds ``(N - 1) u`` times the
+    sum of their magnitudes, which is ``mass``.  The dense entries
+    ``(va - vb) * (w_u * w_v)`` lie within ``3u`` of theirs, and their sum
+    over ``|S| |T|`` cells adds ``(|S| |T| - 1) u`` of ``mass``.  So the two
+    differ by at most ``(2U + N + |S| |T| + 3) u mass`` to first order, and
+    ``c = 2U + N + |S| |T| + 4``, twice that in units of ``u``, covers the
+    higher-order terms too.
+    """
+    widths = union_grid(a, b)[0]
+    va, vb = values_at_cell_midpoints(widths, a, b)
+    mass = ((np.abs(va) + np.abs(vb)) * np.outer(widths, widths))[np.ix_(rows, cols)].sum()
+    c = 2 * widths.size + a.values.nnz + b.values.nnz + len(rows) * len(cols) + 4
+    return c * np.finfo(float).eps * mass
+
+
 class TestCutNorm:
     def test_constant_box_attains_l1(self):
         w = gsp.StepGraphon(np.full((4, 4), 0.3), 1.0, 1.0)
@@ -418,17 +441,19 @@ class TestStretchedCutDistance:
         assert res.distance <= 2.0 / (k - 1)
 
     def test_union_cut_value_matches_dense_kernel_at_witnesses(self):
-        # the value read from the implicit kernel equals the one recomputed
-        # from the dense union-grid matrices of the winning (degree-sorted)
-        # candidate, bit for bit
+        # the value summed from the inputs' stored entries agrees with the
+        # one recomputed from the dense union-grid matrices of the winning
+        # (degree-sorted) candidate, up to rounding: a's and b's terms now
+        # cancel in the sum, not cell by cell
         w = gsp.canonical_graphon(scrambled_dense_core())
         res = gsp.stretched_cut_distance(w, gsp.CelebrityLimit(),
                                          mode="degree_sort", restarts=8)
         a, _ = gsp.stretch(w)
+        a = permuted(a, _degree_sort_perm(a.values))
         b = gsp.as_step(gsp.CelebrityLimit())
-        M = dense_union_kernel(permuted(a, _degree_sort_perm(a.values)), b)
-        assert res.cut.value == sorted_cut_value(M, res.cut.witness_rows,
-                                                 res.cut.witness_cols)
+        rows, cols = res.cut.witness_rows, res.cut.witness_cols
+        want = sorted_cut_value(dense_union_kernel(a, b), rows, cols)
+        assert abs(res.cut.value - want) <= union_value_bound(a, b, rows, cols)
 
     def test_union_path_never_materializes_the_union_kernel(self):
         # one dense float U x U matrix takes 8 U^2 bytes; the implicit kernel
@@ -442,6 +467,22 @@ class TestStretchedCutDistance:
         finally:
             tracemalloc.stop()
         assert peak < 8 * U**2
+
+    def test_graph_against_graph_stays_below_n_squared_bytes(self):
+        # two independent sparse samples: the winning witness covers most
+        # of the union grid, so its value must be summed from stored
+        # entries; a dense |S| x |T| block of it takes about 800 MB
+        n = 4000
+        a, b = (gsp.sample_graph(gsp.ConstantBox(0.004, 1), 1, n, seed).canonical()
+                for seed in (1, 2))
+        tracemalloc.start()
+        try:
+            res = gsp.stretched_cut_distance(a, b, restarts=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.permutation is None and 0.0 < res.distance < 1.0
+        assert peak < n**2
 
     def test_union_degree_sort_never_exceeds_exact(self):
         # on a tiny union grid exact mode maximizes exactly over the
@@ -612,15 +653,22 @@ class TestUnionKernel:
         X = substream(seed, 0x0B).standard_normal((widths.size, 5))
         Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
         pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
-        for kernel, M in (
-                (_UnionKernel(widths, Va, ia, Vb, ib), dense_union_kernel(a, b)),
+        rng = substream(seed, 0x5E1)
+        for kernel, relabeled in (
+                (_UnionKernel(widths, Va, ia, Vb, ib), (a, b)),
                 (_UnionKernel(widths, Va, _relabel(ia, pa), Vb, _relabel(ib, pb)),
-                 dense_union_kernel(permuted(a, pa), permuted(b, pb)))):
+                 (permuted(a, pa), permuted(b, pb)))):
+            M = dense_union_kernel(*relabeled)
             want = M @ X
             got = kernel.matmat(X)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            every = np.arange(widths.size)
-            assert np.array_equal(kernel.block(every, every), M)
+            for _ in range(4):
+                rows, cols = (np.flatnonzero(rng.random(widths.size) < 0.5).tolist()
+                              for _ in range(2))
+                value = kernel.value(rows, cols)
+                assert value == kernel.value(cols, rows)
+                assert abs(value - sorted_cut_value(M, rows, cols)) <= union_value_bound(
+                    *relabeled, rows, cols)
 
     def test_cells_outside_a_support_come_last(self):
         # matmat reads each input on the union cells before its first -1
@@ -646,9 +694,9 @@ class TestHeuristicStopRule:
         """``(matmat, cells, restarts, seed)`` of every heuristic cut."""
         calls = []
         cut = cutmetric._cut
-        monkeypatch.setattr(cutmetric, "_cut", lambda block, matmat, k, exact, restarts,
-                            seed, area=1.0: calls.append((matmat, k, restarts, seed))
-                            or cut(block, matmat, k, exact, restarts, seed, area))
+        monkeypatch.setattr(cutmetric, "_cut", lambda matmat, value, k, exact, restarts,
+                            seed: calls.append((matmat, k, restarts, seed))
+                            or cut(matmat, value, k, exact, restarts, seed))
         return calls
 
     @pytest.mark.parametrize("seed", range(32))

@@ -34,6 +34,11 @@ def random_sparse_symmetric(seed, dim, density=0.05):
 
 
 class TestEigensolve:
+    @pytest.fixture
+    def iterative(self, monkeypatch):
+        """Every solve narrower than its dimension goes through ``eigsh``."""
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
+
     def test_complete_graph_spectrum(self):
         rep = gsp.eigensolve(complete_graph(4), k_pos=1, k_neg=3)
         assert rep.positive[0] == pytest.approx(3.0, abs=1e-12)
@@ -49,33 +54,31 @@ class TestEigensolve:
         rep = gsp.eigensolve(np.zeros((4, 4)), k_pos=2, k_neg=2)
         assert np.all(rep.positive == 0.0) and np.all(rep.negative == 0.0)
 
-    def test_residual_contract(self):
+    def test_residual_contract(self, iterative):
         a = random_sparse_symmetric(1, 300)
-        rep = gsp.eigensolve(a, k_pos=3, k_neg=3, tol=1e-8, dense_threshold=0,
-                             vectors=True)
+        rep = gsp.eigensolve(a, k_pos=3, k_neg=3, tol=1e-8, vectors=True)
         scale = max(abs(rep.positive).max(), abs(rep.negative).max())
         assert rep.residual_pos.max() <= 1e-8 * max(1.0, scale)
         assert rep.residual_neg.max() <= 1e-8 * max(1.0, scale)
 
-    def test_lanczos_matches_dense_oracle(self):
+    def test_lanczos_matches_dense_oracle(self, iterative):
         # 100 random sparse symmetric matrices, extreme 3 from each end
         for seed in range(100):
             dim = 60 + (seed * 7) % 440
             a = random_sparse_symmetric(seed, dim)
             dense_vals = scipy.linalg.eigh(a.toarray(), eigvals_only=True)
-            rep = gsp.eigensolve(a, k_pos=3, k_neg=3, tol=1e-10,
-                                 dense_threshold=0, seed=seed)
+            rep = gsp.eigensolve(a, k_pos=3, k_neg=3, tol=1e-10, seed=seed)
             scale = max(1.0, abs(dense_vals).max())
             assert np.allclose(rep.positive, dense_vals[::-1][:3],
                                atol=1e-8 * scale)
             assert np.allclose(rep.negative, dense_vals[:3], atol=1e-8 * scale)
 
-    def test_lanczos_handles_disconnected_components(self):
+    def test_lanczos_handles_disconnected_components(self, iterative):
         # two cliques: degenerate extreme eigenvalues need the restart path
         g1 = complete_graph(30)
         edges = np.vstack([g1.edge_array, g1.edge_array + 30])
         g = gsp.Graph(60, edges)
-        rep = gsp.eigensolve(g, k_pos=2, k_neg=2, dense_threshold=0, tol=1e-9)
+        rep = gsp.eigensolve(g, k_pos=2, k_neg=2, tol=1e-9)
         assert np.allclose(rep.positive, [29.0, 29.0], atol=1e-6)
 
     def test_request_validation(self):
@@ -100,8 +103,8 @@ class TestEigensolve:
         assert np.allclose(rep.negative, dense_vals[:k_neg], atol=1e-10 * scale)
 
     @pytest.mark.parametrize("dim, k_pos, k_neg", [(5, 3, 0), (4, 2, 2), (6, 1, 3)])
-    def test_request_wider_than_arpack_falls_back_to_dense(self, monkeypatch, dim,
-                                                          k_pos, k_neg):
+    def test_request_wider_than_arpack_falls_back_to_dense(self, monkeypatch, iterative,
+                                                          dim, k_pos, k_neg):
         # eigsh needs k = 2 max(k_pos, k_neg) < dim; wider requests go dense
         def no_eigsh(*args, **kwargs):
             raise AssertionError("eigsh called for k >= dim")
@@ -109,27 +112,28 @@ class TestEigensolve:
         monkeypatch.setattr(spla, "eigsh", no_eigsh)
         a = random_sparse_symmetric(dim, dim, density=0.5).toarray()
         vals = np.linalg.eigvalsh(a)
-        rep = gsp.eigensolve(a, k_pos=k_pos, k_neg=k_neg, dense_threshold=0)
+        rep = gsp.eigensolve(a, k_pos=k_pos, k_neg=k_neg)
         assert np.allclose(rep.positive, vals[::-1][:k_pos], atol=1e-12)
         assert np.allclose(rep.negative, vals[:k_neg], atol=1e-12)
 
     @pytest.mark.parametrize("dim, threshold", [(50, 256), (300, 0)],
                              ids=["dense", "iterative"])
-    def test_unreachable_tolerance_reports_residuals(self, dim, threshold):
+    def test_unreachable_tolerance_reports_residuals(self, monkeypatch, dim, threshold):
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", threshold)
         a = random_sparse_symmetric(11, dim)
         with pytest.raises(EigenConvergenceError) as info:
-            gsp.eigensolve(a, k_pos=2, k_neg=1, tol=0.0, dense_threshold=threshold)
+            gsp.eigensolve(a, k_pos=2, k_neg=1, tol=0.0)
         res = info.value.residuals
         assert res.shape == (3,) and np.all(res > 0.0)
 
-    def test_arpack_failure_becomes_convergence_error(self, monkeypatch):
+    def test_arpack_failure_becomes_convergence_error(self, monkeypatch, iterative):
         def stalled(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
                                            np.zeros((0, 0)))
 
         monkeypatch.setattr(spla, "eigsh", stalled)
         with pytest.raises(EigenConvergenceError, match="ARPACK"):
-            gsp.eigensolve(random_sparse_symmetric(2, 100), dense_threshold=0)
+            gsp.eigensolve(random_sparse_symmetric(2, 100))
 
     def test_iterative_path_is_bit_identical_per_seed(self):
         a = random_sparse_symmetric(5, 500)

@@ -9,7 +9,9 @@ The inputs are built by ``bench/workloads.prepare`` at full size, exactly as
 in this process through ``graphonsp.cli.main``, from the ``src`` directory of
 the same checkout.  Each output file gives one ``workload job file sha256``
 line, so ``diff`` of two checkouts' output shows whether a change kept the
-outputs byte-identical.  The exit code is 1 if any job failed.
+outputs byte-identical.  With ``--keep DIR`` the jobs run under ``DIR``,
+which is kept, so ``tools/compare_outputs.py`` can show how two checkouts'
+outputs differ.  The exit code is 1 if any job failed.
 """
 
 from __future__ import annotations
@@ -50,13 +52,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--jobs", type=int, required=True,
                     help="run jobs 0 .. JOBS-1 of each workload")
+    ap.add_argument("--keep", type=Path, metavar="DIR",
+                    help="run the jobs under the new directory DIR and keep "
+                         "their inputs and outputs there")
     args = ap.parse_args(argv)
+    if args.keep and args.keep.exists():
+        ap.error(f"--keep {args.keep} already exists")
     names = list(workloads.WORKLOADS) if "all" in args.workload else args.workload
     failed = 0
     with tempfile.TemporaryDirectory(prefix="output-digest-") as tmp:
         for name in names:
             failed += digest(workloads, cli_main, name, args.seed, args.jobs,
-                             Path(tmp) / name)
+                             (args.keep or Path(tmp)) / name)
     return 1 if failed else 0
 
 
