@@ -42,7 +42,7 @@ __all__ = [
     "stretched_cut_distance",
 ]
 
-EXACT_CUT_LIMIT = 22       # 2^k * k^2 stays near 1e9 elementary ops
+EXACT_CUT_LIMIT = 22       # 2^k * k stays near 1e8 elementary ops
 EXACT_ALIGN_LIMIT = 8      # k! permutations
 
 
@@ -88,11 +88,11 @@ class AlignmentResult:
 # ---------------------------------------------------------------------------
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """All 2^m subset sums of the given rows, in bit order."""
-    m, k = rows.shape
-    out = np.zeros((1, k))
-    for i in range(m):
-        out = np.vstack([out, out + rows[i]])
+    """All 2^m subset sums of the given rows, in bit order, as the columns
+    of a ``k x 2^m`` array."""
+    out = np.zeros((rows.shape[1], 1))
+    for row in rows:
+        out = np.hstack([out, out + row[:, None]])
     return out
 
 
@@ -103,35 +103,41 @@ def _bits(idx: int, m: int) -> list:
 def _bilinear_max_exact(M: np.ndarray):
     """Maximize |sum_{i in S, j in T} M[i, j]| over all subset pairs.
 
-    For each row subset the optimal column subset is the set of positive
-    (or negative) column sums, so only row subsets are enumerated.  Rows are
-    split in halves so subset sums are formed incrementally, and the second
-    half's subsets run in blocks of about 2^16 column sums.  The first
-    maximum in the order (second-half subset, positive before negative,
-    first-half subset) wins.
+    For a row subset with column sums ``c`` the best columns are the
+    positive (or the negative) ones, and ``max(sum c+, sum c-) = (l1 +
+    |tot|) / 2`` with ``l1 = sum_j |c_j|`` and ``tot = sum_j c_j``, so only
+    row subsets are enumerated, each scored as ``l1 + |tot|``.  Rows are
+    split in halves whose subset sums are stored transposed, ``k x 2^ka``
+    and ``k x 2^kb``; the second half's subsets run in blocks of about 2^16
+    (second, first) subset pairs, and ``l1`` accumulates over the columns
+    in index order, one contiguous block row per column.  The first
+    maximum in the order (second-half subset, first-half subset) wins; its
+    positive columns are taken when ``tot >= 0``, else its negative ones.
     """
     k = M.shape[0]
     ka = k // 2
-    SA = _subset_sums(M[:ka])
-    SB = _subset_sums(M[ka:])
-    step = max(1, 2**16 // SA.size)
+    SA, SB = _subset_sums(M[:ka]), _subset_sums(M[ka:])
+    tA, tB = SA.sum(axis=0), SB.sum(axis=0)
+    step = max(1, 2**16 // SA.shape[1])
     best = -1.0
-    for b0 in range(0, SB.shape[0], step):
-        vals = SA + SB[b0:b0 + step, None]
-        cand = np.stack([np.where(vals > 0.0, vals, 0.0).sum(axis=2),
-                         -np.where(vals < 0.0, vals, 0.0).sum(axis=2)], axis=1)
-        i = int(np.argmax(cand))
-        if cand.flat[i] > best:
-            best = float(cand.flat[i])
-            b, sign, best_a = np.unravel_index(i, cand.shape)
-            best_b, best_pos = b0 + int(b), sign == 0
-    rows = _bits(int(best_a), ka) + [ka + i for i in _bits(best_b, k - ka)]
-    col_sums = M[rows].sum(axis=0) if rows else np.zeros(k)
-    if best_pos:
-        cols = [j for j in range(k) if col_sums[j] > 0.0]
-    else:
-        cols = [j for j in range(k) if col_sums[j] < 0.0]
-    return rows, cols
+    for b0 in range(0, SB.shape[1], step):
+        sb = SB[:, b0:b0 + step, None]
+        score = np.abs(tB[b0:b0 + step, None] + tA)
+        l1 = np.zeros_like(score)
+        col = np.empty_like(score)
+        for j in range(k):
+            np.abs(np.add(sb[j], SA[j], out=col), out=col)
+            l1 += col
+        score += l1
+        i = int(np.argmax(score))
+        if score.flat[i] > best:
+            best = float(score.flat[i])
+            b, best_a = divmod(i, SA.shape[1])
+            best_b = b0 + b
+    c = SA[:, best_a] + SB[:, best_b]
+    rows = _bits(best_a, ka) + [ka + i for i in _bits(best_b, k - ka)]
+    cols = np.nonzero(c > 0.0 if tA[best_a] + tB[best_b] >= 0.0 else c < 0.0)[0]
+    return rows, cols.tolist()
 
 
 def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
@@ -397,16 +403,21 @@ def _local_search(va, vb, area: float, cut_of, cut: CutResult, perm: np.ndarray,
     cut norm above the incumbent's less the rounding margin ``m``; else
     when the heuristic does; else its exact cut norm decides."""
     # Rounding bound m, with u = eps/2 and A = sum|va| + sum|vb|, which
-    # bounds the |entries| of every trial kernel M.  A value is _evaluate at
-    # a witness, or a cached rectangle scored on M by two matrix products:
-    # a sum of <= k^2 terms, in any order, times area, so it is within
-    # area*A*(k^2 + 1)*u of the rectangle's real value.  The enumerator's
-    # column sums and their positive (negative) parts are within 2k*u*A of
-    # the real ones, so its argmax row set loses <= 4k*u*A of the unscaled
-    # cut norm, and the columns read off it another k*u*A.  A heuristic or
-    # cached rectangle is a witness of M too, so its real value is below
-    # the cut norm: trial >= lb - area*A*(2k^2 + 5k + 2)*u, and for k >= 2
-    # the margin m = 8k^2*u*area*A covers this and the higher-order terms.
+    # bounds sum|M| for every trial kernel M.  A value is _evaluate at a
+    # witness, or a cached rectangle scored on M by two matrix products: a
+    # sum of <= k^2 terms, in any order, times area, so it is within
+    # area*A*(k^2 + 1)*u of the rectangle's real value.  The enumerator adds
+    # each column sum c_j from two half subset sums of <= k/2 adds each, so
+    # the k column sums err by <= (k/2 + 1)*u*A in all; l1 = sum|c_j| and
+    # tot = tA + tB take <= k adds more each, and the score l1 + |tot| one,
+    # within (3k + 4)*u*A.  The score is twice the cut norm of its row set,
+    # so the argmax row set loses <= (3k + 4)*u*A, about 4k*u*A, of the
+    # unscaled cut norm; the columns read off it lose <= (k/2 + 1)*u*A to
+    # misread signs of c_j and <= (3k/2 + 1)*u*A to a misread sign of tot.
+    # A heuristic or cached rectangle is a witness of M too, so its real
+    # value is below the cut norm: trial >= lb - area*A*(2k^2 + 5k + 8)*u,
+    # and for k >= 2 the margin m = 8k^2*u*area*A covers this and the
+    # higher-order terms.
     # A prune (lb > current - m) thus implies trial > current - 2m, never an
     # accepted swap, and gains below 2m are rounding noise, not progress.
     k = perm.size

@@ -120,38 +120,68 @@ def sequential_heuristic_cut(M, restarts, rng):
     return list(np.nonzero(best_s)[0]), list(np.nonzero(best_t)[0])
 
 
-def rowwise_exact_cut(M):
-    """Row subsets split in halves, one second-half subset at a time.
-
-    For every pair of half subsets the best columns are the positive (then
-    the negative) column sums, and the first strictly larger total wins, the
-    positive side before the negative.  Returns ``(rows, cols)``.
-    """
+def half_subset_sums(M):
+    """All subset sums of the first ``k // 2`` rows of ``M`` and of the
+    rest, in bit order, each row added in index order."""
     k = M.shape[0]
-    ka = k // 2
-
-    def subset_sums(rows):
+    halves = []
+    for rows in (M[:k // 2], M[k // 2:]):
         out = np.zeros((1, k))
         for row in rows:
             out = np.vstack([out, out + row])
-        return out
+        halves.append(out)
+    return halves
 
-    SA, SB = subset_sums(M[:ka]), subset_sums(M[ka:])
-    best, best_pos, best_a, best_b = -1.0, True, 0, 0
+
+def rowwise_exact_cut(M):
+    """Row subsets split in halves, one second-half subset at a time.
+
+    Each row subset's column sums ``c`` are its first-half subset sum plus
+    its second-half one, and its score is ``l1 + |tot|``: ``l1`` adds
+    ``|c_j|`` over the columns in index order, and ``tot`` is the first
+    half's total plus the second half's, each summed over its columns in
+    index order.  The first strictly larger score wins, in the order
+    (second-half subset, first-half subset); its columns are the positive
+    ones when ``tot >= 0``, else the negative ones.  Returns ``(rows, cols)``.
+    """
+    k = M.shape[0]
+    ka = k // 2
+    SA, SB = half_subset_sums(M)
+    tA, tB = np.zeros(SA.shape[0]), np.zeros(SB.shape[0])
+    for j in range(k):
+        tA, tB = tA + SA[:, j], tB + SB[:, j]
+    best, best_a, best_b = -1.0, 0, 0
     for b in range(SB.shape[0]):
         vals = SA + SB[b]
-        pos = np.where(vals > 0.0, vals, 0.0).sum(axis=1)
-        neg = np.where(vals < 0.0, vals, 0.0).sum(axis=1)
-        ia, ib = int(np.argmax(pos)), int(np.argmin(neg))
-        if pos[ia] > best:
-            best, best_pos, best_a, best_b = float(pos[ia]), True, ia, b
-        if -neg[ib] > best:
-            best, best_pos, best_a, best_b = float(-neg[ib]), False, ib, b
+        l1 = np.zeros(SA.shape[0])
+        for j in range(k):
+            l1 = l1 + np.abs(vals[:, j])
+        score = l1 + np.abs(tA + tB[b])
+        a = int(np.argmax(score))
+        if score[a] > best:
+            best, best_a, best_b = float(score[a]), a, b
     rows = ([i for i in range(ka) if (best_a >> i) & 1]
             + [ka + i for i in range(k - ka) if (best_b >> i) & 1])
-    col_sums = M[rows].sum(axis=0) if rows else np.zeros(k)
-    cols = [j for j in range(k) if (col_sums[j] > 0.0 if best_pos else col_sums[j] < 0.0)]
+    c = SA[best_a] + SB[best_b]
+    pos = tA[best_a] + tB[best_b] >= 0.0
+    cols = [j for j in range(k) if (c[j] > 0.0 if pos else c[j] < 0.0)]
     return rows, cols
+
+
+def signed_parts_exact_value(M):
+    """Exact cut norm of ``M`` scored by the rule before ``l1 + |tot|``:
+    the largest sum of the positive, or of the negated negative, column
+    sums over all row subsets, each accumulated in column order."""
+    SA, SB = half_subset_sums(M)
+    best = 0.0
+    for sb in SB:
+        vals = SA + sb
+        pos = neg = np.zeros(SA.shape[0])
+        for j in range(M.shape[0]):
+            pos = pos + np.maximum(vals[:, j], 0.0)
+            neg = neg - np.minimum(vals[:, j], 0.0)
+        best = max(best, float(pos.max()), float(neg.max()))
+    return best
 
 
 def batched_heuristic_cut(matmat, k, restarts, rng):

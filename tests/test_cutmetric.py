@@ -17,7 +17,7 @@ from helpers import (batched_heuristic_cut, brute_force_cut_norm,
                      dense_core_stretched_l1,
                      plain_local_search, quadrature_l1_between,
                      random_step_graphon, rowwise_exact_cut,
-                     sequential_heuristic_cut,
+                     sequential_heuristic_cut, signed_parts_exact_value,
                      sorted_cut_value, values_at_cell_midpoints)
 
 
@@ -181,6 +181,42 @@ class TestCutNorm:
                  rng.integers(0, 2, (k, k)) - 0.5][trial % 4]
             M = (M + M.T) / 2.0
             assert cutmetric._bilinear_max_exact(M) == rowwise_exact_cut(M)
+
+    @pytest.mark.parametrize("k, kind", [(17, "integer"), (18, "uniform"),
+                                         (19, "zero row"), (21, "integer"),
+                                         (22, "uniform")])
+    def test_enumeration_at_the_top_of_the_exact_range(self, k, kind):
+        # 2 to 64 blocks of second-half subsets; the integer kernels have
+        # many exact ties, where the witness may differ from the old rule's,
+        # and a zero last row ties every subset with its copy in a later block
+        rng = substream(k, 0xB2)
+        M = (rng.uniform(-1.0, 1.0, (k, k)) if kind == "uniform"
+             else rng.integers(-2, 3, (k, k)).astype(np.float64))
+        if kind == "zero row":
+            M[-1] = M[:, -1] = 0.0
+        M = (M + M.T) / 2.0
+        assert cutmetric._bilinear_max_exact(M) == rowwise_exact_cut(M)
+        w = gsp.SignedStepGraphon(M, float(k), 2.0)   # unit cells: area 1
+        value = gsp.cut_norm(w).value
+        assert value >= gsp.cut_norm(w, mode="heuristic", restarts=16, seed=k).value
+        # scoring either way loses at most about 5k*u*A (A = sum|M|, u =
+        # eps/2) and a witness value k^2*u*A more: the local search's
+        # margin m = 8k^2*u*A at area 1 covers both rules
+        assert abs(value - signed_parts_exact_value(M)) <= (
+            4 * k**2 * np.finfo(float).eps * np.abs(M).sum())
+
+    def test_enumeration_memory_is_linear_in_the_half_subsets(self):
+        # at k = 22 the transposed half subset sums take 2 * 22 * 2^11 floats
+        # and a block 2^16 per array; every column sum at once takes 738 MB
+        M = substream(22, 0xB3).uniform(-1.0, 1.0, (22, 22))
+        M = (M + M.T) / 2.0
+        tracemalloc.start()
+        try:
+            cutmetric._bilinear_max_exact(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_l1_gap_dominated_by_cut_norm(self):
         # |l1(w1) - l1(w2)| <= cutnorm(w1 - w2) for nonnegative pairs

@@ -13,13 +13,16 @@ largest relative difference ``|x - y| / max(|x|, |y|)`` of its numbers.  A
 differing token that is the sha256 digest of a file in its own tree, as in
 a manifest, follows from that file and is counted as a digest.  Anything
 else (a file in one tree only, differing text, a digest of no file) prints
-a ``file DIFFERS`` line, and the exit code is then 1.
+a ``file DIFFERS`` line, and the exit code is then 1.  For two JSON objects
+that line names every top-level key whose value differs, as in
+``cutdist.json DIFFERS in keys witness_cols, witness_rows``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -60,6 +63,19 @@ def compare_file(a: str, b: str, digests_a: set, digests_b: set):
     return max_rel, digests
 
 
+def differing_keys(a: str, b: str) -> list:
+    """Top-level keys of two JSON objects whose values differ, or that one
+    lacks; empty unless both texts are JSON objects."""
+    try:
+        ja, jb = json.loads(a), json.loads(b)
+    except ValueError:
+        return []
+    if not (isinstance(ja, dict) and isinstance(jb, dict)):
+        return []
+    return [key for key in sorted(ja.keys() | jb.keys())
+            if key not in ja or key not in jb or ja[key] != jb[key]]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("dir_a", type=Path)
@@ -77,10 +93,12 @@ def main(argv=None) -> int:
         if a == b:
             same += 1
             continue
-        got = compare_file(a.decode("utf-8", "replace"), b.decode("utf-8", "replace"),
-                           digests_a, digests_b)
+        a, b = a.decode("utf-8", "replace"), b.decode("utf-8", "replace")
+        got = compare_file(a, b, digests_a, digests_b)
         if got is None:
-            print(f"{name} DIFFERS: not only in numbers")
+            keys = differing_keys(a, b)
+            print(f"{name} DIFFERS in keys {', '.join(keys)}" if keys
+                  else f"{name} DIFFERS: not only in numbers")
             bad += 1
         else:
             print(f"{name} max_rel {got[0]:.3e}" + (f", {got[1]} digests" if got[1] else ""))
