@@ -197,6 +197,8 @@ def cmd_sample(cfg: RunConfig, out_dir) -> ResultBundle:
 
 def cmd_spectra(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
     """Growth -> eigenvalue trajectory -> model fits -> moving averages."""
+    if not 0.0 <= cfg.epsilon_m < 1.0:
+        raise GraphonError(f"epsilon_m must lie in [0, 1), got {cfg.epsilon_m!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     g = core.read_edge_list(edge_list_path)

@@ -54,7 +54,8 @@ __all__ = [
     "write_edge_list",
 ]
 
-# Largest grid accepted when building an exact common refinement (dense k x k).
+# Largest grid accepted as an exact common refinement; it bounds the sparse
+# lift of a dense input onto the refinement at k^2 stored entries.
 _MAX_REFINE_CELLS = 4096
 
 # Largest vertex count n whose edge keys lo * n + hi < n^2 fit in int64.
@@ -363,15 +364,8 @@ def l1_restricted(w: GraphonSpec, t_m: float) -> float:
     if isinstance(w, _StepBase):
         if t_m >= w.t:
             return w.l1_norm
-        h = w.cell_width
-        v = abs(w.values)
-        full = int(_cell_index(w, t_m))
-        fw = t_m - full * h  # width of the partially covered strip
-        total = h * h * float(v[:full, :full].sum())
-        if fw > 0:
-            total += 2.0 * h * fw * float(v[:full, full].sum())
-            total += fw * fw * float(v[full, full])
-        return total
+        c = np.clip(t_m - _edges(w)[:-1], 0.0, w.cell_width)  # widths inside [0, t_m]
+        return float(c @ (abs(w.values) @ c))
     return w.l1_restricted(t_m)
 
 
@@ -594,20 +588,36 @@ def _refinement(span: float, *grids) -> int | None:
     return k if k <= _MAX_REFINE_CELLS else None
 
 
-def _on_uniform(w, k: int, span: float) -> np.ndarray:
+def _on_uniform(w, k: int, span: float):
     """Values of a step graphon or signal on the ``k``-cell grid over ``[0, span]``.
 
     Each new cell reads the cell of ``w`` under its midpoint (zero beyond
-    ``w``'s support), which is exact when the new grid refines ``w``'s; a
-    graphon that already sits on that grid comes back as ``values.toarray()``.
-    The result is always a dense array.
+    ``w``'s support), which is exact when the new grid refines ``w``'s.  A
+    graphon comes back sparse (its own ``values`` on its own grid, else its
+    :func:`_lift`), a signal as a dense vector.
     """
+    if w.k == k and w.t == span:
+        return w.values
     idx = _cell_index(w, (np.arange(k) + 0.5) * (span / k))
     if w.values.ndim == 1:
         return np.where(idx >= 0, w.values[idx], 0.0)
-    if w.k == k and w.t == span:
-        return w.values.toarray()
-    return _lookup(w.values, idx, idx)
+    return _lift(w, idx)
+
+
+def _select(idx: np.ndarray, cells: int, weights=None) -> sp.csr_matrix:
+    """The ``cells x idx.size`` selection matrix with ``weights[u]`` (1 by
+    default) at ``(idx[u], u)`` wherever ``idx[u] >= 0``."""
+    inside = np.nonzero(idx >= 0)[0]
+    data = np.ones(inside.size) if weights is None else weights[inside]
+    return sp.csr_matrix((data, (idx[inside], inside)), shape=(cells, idx.size))
+
+
+def _lift(w: _StepBase, idx: np.ndarray, weights=None) -> sp.spmatrix:
+    """``Q' V Q`` for the values ``V`` of ``w`` and ``Q = _select(idx, w.k,
+    weights)``, never dense: entry ``(u, v)`` is the one stored value
+    ``V[idx[u], idx[v]]`` times ``weights[u] * weights[v]``, zero at an index -1."""
+    Q = _select(idx, w.k, weights)
+    return Q.T @ w.values @ Q
 
 
 def _edges(w) -> np.ndarray:
@@ -639,15 +649,6 @@ def _at(values: sp.csr_matrix, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.asarray(out.toarray() if sp.issparse(out) else out).reshape(i.shape)
 
 
-def _lookup(values, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dense ``values[rows][:, cols]`` for index maps, zero where an index is -1."""
-    out = np.zeros((rows.size, cols.size))
-    ri, ci = np.nonzero(rows >= 0)[0], np.nonzero(cols >= 0)[0]
-    if ri.size and ci.size:
-        out[np.ix_(ri, ci)] = values[np.ix_(rows[ri], cols[ci])].toarray()
-    return out
-
-
 def step_difference(a: _StepBase, b: _StepBase,
                     resolution: int | None = None) -> SignedStepGraphon:
     """Difference ``a - b`` as a signed step graphon on a uniform grid.
@@ -669,8 +670,7 @@ def step_difference(a: _StepBase, b: _StepBase,
 def l1_distance(a: _StepBase, b: _StepBase) -> float:
     """Exact ``||a - b||_1`` for two step graphons on arbitrary grids."""
     widths, ia, ib = union_grid(a, b)
-    va, vb = _lookup(a.values, ia, ia), _lookup(b.values, ib, ib)
-    return float(widths @ np.abs(va - vb) @ widths)
+    return float(abs(_lift(a, ia, widths) - _lift(b, ib, widths)).sum())
 
 
 # ---------------------------------------------------------------------------

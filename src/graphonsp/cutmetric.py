@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import core
 from .core import (
@@ -244,7 +243,7 @@ class _UnionKernel:
     With union-cell widths ``w`` and, per input, the value matrix ``V`` (CSR)
     and the index map ``idx`` from union cells to the input's cells (``-1``
     outside its support), the kernel is ``M = Qa' Va Qa - Qb' Vb Qb``, where
-    ``Q`` is the ``k x U`` selection matrix weighted by ``w``.  A product
+    ``Q = core._select(idx, k, w)`` for an input of ``k`` cells.  A product
     ``M @ X`` costs ``O(nnz + U)`` per column.  The union grid runs along
     ``[0, T]``, so the cells outside a support come last.
     """
@@ -256,9 +255,7 @@ class _UnionKernel:
             inside = np.nonzero(idx >= 0)[0]
             if inside.size and inside[-1] != inside.size - 1:
                 raise ValueError("union cells outside a support must come last")
-            Q = sp.csr_matrix((widths[inside], (idx[inside], inside)),
-                              shape=(V.shape[0], idx.size))
-            self.sides.append((V, Q, idx[inside]))
+            self.sides.append((V, core._select(idx, V.shape[0], widths), idx[inside]))
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         # each column as widths * (za - zb); a union cell outside a support
@@ -341,7 +338,7 @@ def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
     k = core._refinement(T, a, b)
     lift = k is not None and k <= (EXACT_ALIGN_LIMIT if mode == "exact" else EXACT_CUT_LIMIT)
     if lift:
-        va, vb = core._on_uniform(a, k, T), core._on_uniform(b, k, T)
+        va, vb = core._on_uniform(a, k, T).toarray(), core._on_uniform(b, k, T).toarray()
         area = (T / k) ** 2
 
         def cut_of(M, exact):

@@ -246,8 +246,8 @@ def convergence_ratios(values, tail_from: int) -> ConvergenceRatios:
     tail mean; that is flagged as exact convergence instead of dividing.
     """
     c = np.asarray(values, dtype=np.float64)
-    if c.ndim != 1 or c.size - tail_from < 2:
-        raise GraphonError("tail window must contain at least 2 points")
+    if c.ndim != 1 or not 0 <= tail_from <= c.size - 2:
+        raise GraphonError(f"tail_from must lie in [0, {c.size - 2}], got {tail_from}")
     tail_mean = float(np.mean(c[tail_from:]))
     denom = abs(float(c[-1]) - tail_mean)
     if denom < 1e-15:

@@ -197,8 +197,8 @@ def fit_models(traj, tail_from: int, t: int, edge_scale: str = "2E") -> dict:
     if edge_scale not in ("E", "2E"):
         raise ValueError("edge_scale must be 'E' or '2E'")
     tail = list(traj[tail_from:])
-    if len(tail) < 2:
-        raise GraphonError("tail window needs at least 2 points")
+    if tail_from < 0 or len(tail) < 2:
+        raise GraphonError(f"tail_from must lie in [0, {len(traj) - 2}], got {tail_from}")
     y = np.array([p.eigenvalues[t] for p in tail])
     e = np.array([p.n_edges for p in tail], dtype=np.float64)
     v = np.array([p.n_vertices for p in tail], dtype=np.float64)

@@ -190,6 +190,26 @@ class TestMainEntry:
         assert json.loads(lines[0]) == {"error": "ValueError",
                                         "message": "t = 0 is not a valid eigenvalue index"}
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("spectra", "tail_from", -3, "tail_from must lie in [0, 2], got -3"),
+        ("fit-filter", "ratio_tail_from", -3, "tail_from must lie in [0, 4], got -3"),
+        ("spectra", "epsilon_m", -0.5, "epsilon_m must lie in [0, 1), got -0.5"),
+        ("spectra", "epsilon_m", 1.0, "epsilon_m must lie in [0, 1), got 1.0"),
+    ], ids=["spectra-tail-negative", "fit-filter-tail-negative", "epsilon-negative",
+            "epsilon-one"])
+    def test_out_of_range_window_gives_one_json_error(self, tmp_path, capsys, command,
+                                                      key, value, message):
+        # a run that succeeds but for the one key under test
+        settings = dict(t_set=[1], growth_batch=50, growth_steps=4, tail_from=1,
+                        window=2, trajectory_points=6, ratio_tail_from=2)
+        config = write_config(tmp_path, **{**settings, key: value})
+        argv = [command, str(small_graph_file(tmp_path)), "--out", str(tmp_path / "out"),
+                "--config", str(config)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "GraphonError", "message": message}
+
     @pytest.mark.parametrize("text, message", [
         ("0 99999999999999999999\n", "malformed edge line: '0 99999999999999999999'"),
         ("n 99999999999999999999\n0 1\n",

@@ -507,18 +507,26 @@ class TestStretchedCutDistance:
     def test_graph_against_graph_stays_below_n_squared_bytes(self):
         # two independent sparse samples: the winning witness covers most
         # of the union grid, so its value must be summed from stored
-        # entries; a dense |S| x |T| block of it takes about 800 MB
+        # entries; a dense |S| x |T| block of it takes about 800 MB, and a
+        # dense U x U read of both inputs for the l1 distance about 2 GB
         n = 4000
         a, b = (gsp.sample_graph(gsp.ConstantBox(0.004, 1), 1, n, seed).canonical()
                 for seed in (1, 2))
+        sa, sb = gsp.stretch(a)[0], gsp.stretch(b)[0]
         tracemalloc.start()
         try:
             res = gsp.stretched_cut_distance(a, b, restarts=8)
-            peak = tracemalloc.get_traced_memory()[1]
+            cut_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            l1 = gsp.l1_distance(sa, sb)
+            l1_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert res.permutation is None and 0.0 < res.distance < 1.0
-        assert peak < n**2
+        # the identity alignment is a candidate, and its cut norm is at most
+        # the l1 norm of the same difference
+        assert res.distance <= l1 <= 2.0
+        assert cut_peak < n**2 and l1_peak < n**2
 
     def test_union_degree_sort_never_exceeds_exact(self):
         # on a tiny union grid exact mode maximizes exactly over the

@@ -21,8 +21,9 @@ import graphonsp as gsp  # noqa: E402
 from graphonsp import core  # noqa: E402
 from graphonsp.cli import RunConfig, main  # noqa: E402
 
-from helpers import (brute_force_cut_norm, reference_cell_index,  # noqa: E402
-                     reference_read_edge_list)
+from helpers import (brute_force_cut_norm, random_step_graphon,  # noqa: E402
+                     reference_cell_index, reference_read_edge_list,
+                     values_at_cell_midpoints)
 
 # derandomized and without an example database: tier-1 stays reproducible
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -82,9 +83,24 @@ def dyadic_step_graphons(draw, kmax=6):
 @PROPERTY
 @given(a=dyadic_step_graphons(), b=dyadic_step_graphons())
 def test_uniform_refinement_l1_matches_union_grid(a, b):
-    # two independent exact routes: one uniform refinement, one union grid
+    # one uniform refinement against one union grid; both read the inputs
+    # through core._lift, which the next test checks against a dense oracle
     assert gsp.step_difference(a, b).l1_norm == pytest.approx(
         gsp.l1_distance(a, b), rel=1e-12, abs=1e-15)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**16), signed_a=st.booleans(), signed_b=st.booleans())
+def test_l1_distance_matches_dense_union_grid_oracle(seed, signed_a, signed_b):
+    # random supports share no uniform refinement, so the union grid is the
+    # only exact route; the oracle reads both inputs densely on it
+    a = random_step_graphon(seed, signed=signed_a)
+    b = random_step_graphon(seed + 2**17, signed=signed_b)
+    assert core._refinement(max(a.t, b.t), a, b) is None
+    widths = core.union_grid(a, b)[0]
+    va, vb = values_at_cell_midpoints(widths, a, b)
+    assert gsp.l1_distance(a, b) == pytest.approx(
+        widths @ np.abs(va - vb) @ widths, rel=1e-12, abs=1e-15)
 
 
 @PROPERTY

@@ -314,6 +314,20 @@ class TestSparseMemory:
         assert out.k == n and np.all(np.isfinite(out.values))
         assert peak < 8 * n**2 / 100
 
+    def test_exact_restriction_and_difference_never_allocate_n_squared(self):
+        n = 4000
+        w = gsp.canonical_graphon(ring_with_chords(n))
+        for make, want in ((lambda: gsp.restrict(w, 0.5), w.values[: n // 2, : n // 2]),
+                           (lambda: gsp.step_difference(w, w), sp.csr_matrix((n, n)))):
+            tracemalloc.start()
+            try:
+                out = make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n**2 / 100
+            assert out.k == want.shape[0] and (out.values != want).nnz == 0
+
     def test_stretched_distance_of_a_large_sparse_graph(self):
         # 10^5 vertices, a shuffled clique core of about 10^6 edges; the
         # dense n x n embedding alone would need 8 n^2 = 80 GB
