@@ -199,6 +199,15 @@ def cmd_spectra(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
     """Growth -> eigenvalue trajectory -> model fits -> moving averages."""
     if not 0.0 <= cfg.epsilon_m < 1.0:
         raise GraphonError(f"epsilon_m must lie in [0, 1), got {cfg.epsilon_m!r}")
+    schedule = sampling.GrowthSchedule(cfg.growth_batch, cfg.growth_steps,
+                                       cfg.drop_isolated)
+    # the trajectory has one point per growth step: check both windows
+    # against it before any work, so a failing run writes nothing
+    if not 0 <= cfg.tail_from <= cfg.growth_steps - 2:
+        raise GraphonError(f"tail_from must lie in [0, {cfg.growth_steps - 2}], "
+                           f"got {cfg.tail_from}")
+    if not 1 <= cfg.window <= cfg.growth_steps:
+        raise GraphonError("window must fit inside the trajectory")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     g = core.read_edge_list(edge_list_path)
@@ -207,8 +216,6 @@ def cmd_spectra(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
         # growth, i.e. restrict W_G to [0, 1 - epsilon_m]^2
         keep = max(1, int(math.floor((1.0 - cfg.epsilon_m) * g.n)))
         g, _ = g.induced_subgraph(np.arange(keep))
-    schedule = sampling.GrowthSchedule(cfg.growth_batch, cfg.growth_steps,
-                                       cfg.drop_isolated)
     steps = sampling.grow_subgraphs(g, schedule, cfg.seed)
     traj = spectral.trajectory([s.graph for s in steps], cfg.t_set)
     rows = []
@@ -241,8 +248,6 @@ def cmd_spectra(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
 
 def cmd_fit_filter(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
     """Diffusion synthesis -> coefficient trajectory -> convergence ratios."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     g = core.read_edge_list(edge_list_path)
     spec = filterfit.DiffusionSpec(cfg.fit_degree,
                                    top_degree_fraction=cfg.top_degree_fraction)
@@ -250,6 +255,13 @@ def cmd_fit_filter(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
     sizes = np.unique(np.linspace(max(cfg.fit_degree + 1, g.n // npts), g.n,
                                   npts).astype(int))
     sizes[-1] = g.n
+    # a large ratio_tail_from is clamped to the fitted points below; a
+    # negative one fails before any fit, and before anything is written
+    if cfg.ratio_tail_from < 0:
+        raise GraphonError(f"tail_from must lie in [0, {len(sizes) - 2}], "
+                           f"got {cfg.ratio_tail_from}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     traj = filterfit.coefficient_trajectory(g, list(sizes), spec, seed=cfg.seed)
     tail = min(cfg.ratio_tail_from, max(0, len(traj.ks) - 2))
     ratios = {}

@@ -5,7 +5,14 @@ maximum over unions of grid cells: the bilinear objective is linear in each
 selector, so it attains its maximum at a vertex of the unit box.  Exact mode
 enumerates row subsets (choosing the optimal column subset per row subset);
 heuristic mode runs alternating maximization from random restarts and never
-exceeds the exact value.
+exceeds the exact value.  On a graph-sized kernel (more than
+``EXACT_CUT_LIMIT`` cells: the union grid and ``cut_norm(mode="heuristic")``,
+both read through CSR products that compute every column on its own) the
+restarts are split into one contiguous range per CPU the process may run
+on, the first on the calling thread and the rest on a module thread pool;
+the first column of largest value, in the original order, wins, so the
+result is bit-identical for any number of CPUs.  The lift's kernels (at
+most ``EXACT_CUT_LIMIT`` cells, dense BLAS products) stay one serial block.
 
 Both cut distances end in one comparison routine, ``_compare``: the grid
 fixes only how a candidate relabeling's difference kernel is cut by the one
@@ -18,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,26 +148,25 @@ def _bilinear_max_exact(M: np.ndarray):
     return rows, cols.tolist()
 
 
-def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
-    """Alternating row/column maximization from random starts.
+def _bilinear_max_heuristic(matmat, t0: np.ndarray):
+    """Alternating row/column maximization from the 0/1 start block ``t0``.
 
     ``matmat(X)`` returns ``M @ X`` for a symmetric ``k x k`` kernel ``M``
-    and a C-contiguous ``k x c`` float block ``X``, each column on its own.
-    Every restart runs once per sign; all ``2 * restarts`` runs advance
-    together as the columns of one block (restart ``r`` in columns ``2r``
-    and ``2r + 1``, which share the first product ``M t``), and a column
-    freezes once its selection stops changing: when its new rows equal its
-    previous rows (``M s``, hence the columns, are then known), or else its
-    new columns equal its previous columns.  Cells with exactly zero
-    marginal contribution are excluded, which makes the iteration
-    deterministic given the seed.  The first column of largest value wins.
-    Returns the witness rows and columns, the number of columns still
-    active when the 100-round cap ended the loop, and the number of kernel
+    and a C-contiguous ``k x c`` float block ``X``, each column on its own;
+    ``t0`` is a ``k x r`` boolean block of starts.  Every start runs once
+    per sign; all ``2r`` runs advance together as the columns of one block
+    (start ``i`` in columns ``2i`` and ``2i + 1``, which share the first
+    product ``M t``), and a column freezes once its selection stops
+    changing: when its new rows equal its previous rows (``M s``, hence the
+    columns, are then known), or else its new columns equal its previous
+    columns.  Cells with exactly zero marginal contribution are excluded,
+    which makes the iteration deterministic given the starts.  Returns the
+    largest ``|s' M t|`` over the columns, the witness rows and columns of
+    the first column attaining it, the number of columns still active when
+    the 100-round cap ended the loop, and the number of kernel
     column-products used.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    t0 = (rng.random((restarts, k)) < 0.5).T
+    restarts = t0.shape[1]
     sign = np.tile([1.0, -1.0], restarts)
     S = sign * np.repeat(matmat(t0.astype(np.float64, order="C")), 2, axis=1) > 0.0
     T = np.repeat(t0, 2, axis=1)
@@ -185,10 +193,42 @@ def _bilinear_max_heuristic(matmat, k: int, restarts: int, rng):
         T[:, active] = T_new
         active = active[moved]
     # s' M t == t' M s for symmetric M, and M s is at hand for every column
-    best = int(np.argmax(np.abs((MS * T).sum(axis=0))))
+    score = np.abs((MS * T).sum(axis=0))
+    best = int(np.argmax(score))
     rows = [int(i) for i in np.nonzero(S[:, best])[0]]
     cols = [int(j) for j in np.nonzero(T[:, best])[0]]
-    return rows, cols, int(active.size), products
+    return float(score[best]), rows, cols, int(active.size), products
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+_pool = None   # threads for all but the first range of a split heuristic
+
+
+def _drop_pool() -> None:
+    # a forked child inherits the pool but none of its threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _split_heuristic(matmat, t0: np.ndarray, ranges: int) -> list:
+    """:func:`_bilinear_max_heuristic` on ``t0`` split by start into
+    ``ranges`` contiguous ranges, the first on the calling thread and the
+    others on the module's thread pool; returns the ranges' results in
+    order.  Each range's columns run exactly as in the whole block when
+    every product column is computed on its own."""
+    global _pool
+    blocks = np.array_split(t0, ranges, axis=1)
+    if ranges > 1 and _pool is None:
+        _pool = ThreadPoolExecutor()   # starts a thread only when none is idle
+    rest = [_pool.submit(_bilinear_max_heuristic, matmat, b) for b in blocks[1:]]
+    return [_bilinear_max_heuristic(matmat, blocks[0])] + [f.result() for f in rest]
 
 
 def _evaluate(terms: np.ndarray, area: float) -> float:
@@ -208,15 +248,27 @@ def _cut(matmat, value, k: int, exact: bool, restarts: int, seed: int) -> CutRes
     ``matmat(X)`` returns the product with a ``k x c`` block and
     ``value(rows, cols)`` the canonical value (see :func:`_evaluate`) of a
     witness rectangle.  Exact mode enumerates the kernel ``matmat(eye(k))``;
-    heuristic mode runs on ``matmat`` with the ``0xC07`` substream of
-    ``seed``.  The value is re-evaluated at the witness sets.
+    heuristic mode runs on ``matmat`` from ``restarts`` random starts, drawn
+    as one ``k x restarts`` block from the ``0xC07`` substream of ``seed``.
+    Above ``EXACT_CUT_LIMIT`` cells the kernel is graph-sized, its products
+    are CSR products that compute every column on its own, and the block is
+    split into one range per CPU, at most one per start
+    (:func:`_split_heuristic`).  The first range of largest value holds the
+    first column of largest value, which wins, and the capped runs and
+    products are summed, so the result is the same for any number of CPUs.
+    The value is re-evaluated at the witness sets.
     """
     capped = products = 0
     if exact:
         rows, cols = _bilinear_max_exact(matmat(np.eye(k)))
     else:
-        rows, cols, capped, products = _bilinear_max_heuristic(
-            matmat, k, restarts, substream(seed, 0xC07))
+        if restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {restarts}")
+        t0 = (substream(seed, 0xC07).random((restarts, k)) < 0.5).T
+        runs = _split_heuristic(matmat, t0, min(_cpus(), restarts)
+                                if k > EXACT_CUT_LIMIT else 1)
+        _, rows, cols, _, _ = max(runs, key=lambda run: run[0])
+        capped, products = sum(run[3] for run in runs), sum(run[4] for run in runs)
     return CutResult(value(rows, cols), tuple(rows), tuple(cols), exact, capped, products)
 
 
@@ -420,13 +472,16 @@ def _local_search(va, vb, area: float, cut_of, cut: CutResult, perm: np.ndarray,
     k = perm.size
     m = 4 * k**2 * np.finfo(float).eps * area * (np.abs(va).sum() + np.abs(vb).sum())
     perm = perm.copy()
-    S = np.zeros((0, k))
-    T = np.zeros((0, k))
+    # the cached witnesses are the first n rows of S and T, which double
+    # when full
+    S, T, n = np.zeros((8, k)), np.zeros((8, k)), 0
 
     def remember(c: CutResult) -> CutResult:
-        nonlocal S, T
-        S, T = np.vstack([S, np.zeros(k)]), np.vstack([T, np.zeros(k)])
-        S[-1, list(c.witness_rows)] = T[-1, list(c.witness_cols)] = 1.0
+        nonlocal S, T, n
+        if n == len(S):
+            S, T = np.vstack([S, np.zeros_like(S)]), np.vstack([T, np.zeros_like(T)])
+        S[n, list(c.witness_rows)] = T[n, list(c.witness_cols)] = 1.0
+        n += 1
         return c
 
     remember(cut)
@@ -436,8 +491,8 @@ def _local_search(va, vb, area: float, cut_of, cut: CutResult, perm: np.ndarray,
         for i in range(k - 1):
             for j in range(i + 1, k):
                 perm[i], perm[j] = perm[j], perm[i]
-                M = va[np.ix_(perm, perm)] - vb
-                if area * np.abs(((S @ M) * T).sum(axis=1)).max() > cut.value - m:
+                M = va.take(perm, axis=0).take(perm, axis=1) - vb
+                if area * np.abs(((S[:n] @ M) * T[:n]).sum(axis=1)).max() > cut.value - m:
                     cached += 1
                 elif remember(cut_of(M, False)).value > cut.value - m:
                     pruned += 1

@@ -161,33 +161,42 @@ def fit_filter(f: np.ndarray, g_out: np.ndarray, graph: Graph, d: int,
     solved by QR; a condition number above ``CONDITION_LIMIT`` (after
     equilibration) raises, recommending a lower degree.
     """
+    return _fit(f, g_out, graph, d, [scaling])[0]
+
+
+def _fit(f, g_out, graph: Graph, d: int, scalings) -> list:
+    """:func:`fit_filter` in each of ``scalings``, from one adjacency of
+    ``graph``; the first failing fit raises."""
     f = np.asarray(f, dtype=np.float64)
     g_out = np.asarray(g_out, dtype=np.float64)
     if d + 1 > graph.n:
         raise RankDeficientError("degree + 1 exceeds the number of nodes")
-    scale = _shift_scale(graph, scaling)
     A = graph.adjacency()
-    cols = [f]
-    for _ in range(d):
-        cols.append((A @ cols[-1]) / scale)
-    X = np.column_stack(cols)
-    norms = np.linalg.norm(X, axis=0)
-    if np.any(norms == 0.0):
-        raise RankDeficientError(
-            "design has a zero column (signal vanishes); lower the degree "
-            "or check the input signal")
-    Xe = X / norms
-    Q, R = np.linalg.qr(Xe)
-    condition = float(np.linalg.cond(R))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise RankDeficientError(
-            f"design condition {condition:.3e} exceeds {CONDITION_LIMIT:.1e}; "
-            f"use a lower degree than {d}")
-    coef = scipy.linalg.solve_triangular(R, Q.T @ g_out)
-    coef = coef / norms
-    resid = float(np.linalg.norm(X @ coef - g_out))
-    return FilterFitResult(PolynomialFilter(tuple(coef)), scaling, scale,
-                           condition, resid)
+    fits = []
+    for scaling in scalings:
+        scale = _shift_scale(graph, scaling)
+        cols = [f]
+        for _ in range(d):
+            cols.append((A @ cols[-1]) / scale)
+        X = np.column_stack(cols)
+        norms = np.linalg.norm(X, axis=0)
+        if np.any(norms == 0.0):
+            raise RankDeficientError(
+                "design has a zero column (signal vanishes); lower the degree "
+                "or check the input signal")
+        Xe = X / norms
+        Q, R = np.linalg.qr(Xe)
+        condition = float(np.linalg.cond(R))
+        if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+            raise RankDeficientError(
+                f"design condition {condition:.3e} exceeds {CONDITION_LIMIT:.1e}; "
+                f"use a lower degree than {d}")
+        coef = scipy.linalg.solve_triangular(R, Q.T @ g_out)
+        coef = coef / norms
+        resid = float(np.linalg.norm(X @ coef - g_out))
+        fits.append(FilterFitResult(PolynomialFilter(tuple(coef)), scaling, scale,
+                                    condition, resid))
+    return fits
 
 
 def coefficient_trajectory(g: Graph, sizes, spec: DiffusionSpec,
@@ -216,8 +225,7 @@ def coefficient_trajectory(g: Graph, sizes, spec: DiffusionSpec,
         f_k = inst.f[kept]
         y_k = inst.g_out[kept]
         try:
-            fit_c = fit_filter(f_k, y_k, sub, d, scaling="classical")
-            fit_g = fit_filter(f_k, y_k, sub, d, scaling="generalized")
+            fit_c, fit_g = _fit(f_k, y_k, sub, d, ["classical", "generalized"])
         except (RankDeficientError, GraphonError) as exc:
             traj.errors.append((k_idx, str(exc)))
             continue

@@ -195,20 +195,31 @@ class TestMainEntry:
         ("fit-filter", "ratio_tail_from", -3, "tail_from must lie in [0, 4], got -3"),
         ("spectra", "epsilon_m", -0.5, "epsilon_m must lie in [0, 1), got -0.5"),
         ("spectra", "epsilon_m", 1.0, "epsilon_m must lie in [0, 1), got 1.0"),
+        ("spectra", "tail_from", 3, "tail_from must lie in [0, 2], got 3"),
+        ("spectra", "window", 50, "window must fit inside the trajectory"),
+        ("spectra", "window", 0, "window must fit inside the trajectory"),
     ], ids=["spectra-tail-negative", "fit-filter-tail-negative", "epsilon-negative",
-            "epsilon-one"])
-    def test_out_of_range_window_gives_one_json_error(self, tmp_path, capsys, command,
-                                                      key, value, message):
-        # a run that succeeds but for the one key under test
+            "epsilon-one", "spectra-tail-too-late", "spectra-window-too-wide",
+            "spectra-window-zero"])
+    def test_out_of_range_window_gives_one_json_error(self, tmp_path, capsys, monkeypatch,
+                                                      command, key, value, message):
+        # a run that succeeds but for the one key under test; it must fail
+        # before it grows or fits a subgraph, and write nothing
         settings = dict(t_set=[1], growth_batch=50, growth_steps=4, tail_from=1,
                         window=2, trajectory_points=6, ratio_tail_from=2)
         config = write_config(tmp_path, **{**settings, key: value})
-        argv = [command, str(small_graph_file(tmp_path)), "--out", str(tmp_path / "out"),
+        for layer, name in ((gsp.sampling, "grow_subgraphs"),
+                            (gsp.filterfit, "coefficient_trajectory")):
+            monkeypatch.setattr(layer, name, lambda *args, **kwargs: pytest.fail(
+                "the run did work before its windows were checked"))
+        out = tmp_path / "out"
+        argv = [command, str(small_graph_file(tmp_path)), "--out", str(out),
                 "--config", str(config)]
         assert main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "GraphonError", "message": message}
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("0 99999999999999999999\n", "malformed edge line: '0 99999999999999999999'"),

@@ -1,5 +1,7 @@
 import itertools
 import logging
+import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,12 @@ def stretched_clique(k):
     iu = np.triu_indices(k, 1)
     ws, _ = gsp.stretch(gsp.canonical_graphon(gsp.Graph(k, np.column_stack(iu))))
     return ws
+
+
+def heuristic(matmat, k, restarts, rng):
+    """The library heuristic from ``restarts`` starts on ``k`` cells drawn
+    from ``rng`` as ``_cut`` draws them."""
+    return cutmetric._bilinear_max_heuristic(matmat, (rng.random((restarts, k)) < 0.5).T)
 
 
 def two_block_adjacency(rng, n, m_in, m_out):
@@ -314,19 +322,24 @@ class TestCutDistance:
         rng = substream(5, 0x10CA1)
         ga, gb = (gsp.Graph(14, np.column_stack(np.nonzero(np.triu(
             two_block_adjacency(rng, 14, 38, 7))))) for _ in range(2))
-        calls, runs = [], []
         exact = cutmetric._bilinear_max_exact
         heuristic = cutmetric._bilinear_max_heuristic
-        monkeypatch.setattr(cutmetric, "_bilinear_max_exact",
-                            lambda M: calls.append(1) or exact(M))
-        monkeypatch.setattr(cutmetric, "_bilinear_max_heuristic",
-                            lambda *args: runs.append(1) or heuristic(*args))
-        res = gsp.stretched_cut_distance(gsp.canonical_graphon(ga),
-                                         gsp.canonical_graphon(gb),
-                                         mode="local_search", seed=5)
-        assert res.exact and res.permutation is not None
-        assert len(calls) <= 40   # every swap trial enumerated: 184 calls
-        assert len(runs) <= 30    # a heuristic run on every trial: 182 runs
+        counts = []
+        for cpus in (1, 3):   # the lift's cuts are never split across threads
+            calls, runs = [], []
+            monkeypatch.setattr(cutmetric, "_cpus", lambda: cpus)
+            monkeypatch.setattr(cutmetric, "_bilinear_max_exact",
+                                lambda M: calls.append(1) or exact(M))
+            monkeypatch.setattr(cutmetric, "_bilinear_max_heuristic",
+                                lambda *args: runs.append(1) or heuristic(*args))
+            res = gsp.stretched_cut_distance(gsp.canonical_graphon(ga),
+                                             gsp.canonical_graphon(gb),
+                                             mode="local_search", seed=5)
+            assert res.exact and res.permutation is not None
+            assert len(calls) <= 40   # every swap trial enumerated: 184 calls
+            assert len(runs) <= 30    # a heuristic run on every trial: 182 runs
+            counts.append((len(calls), len(runs)))
+        assert counts[0] == counts[1]
 
     def test_local_search_logs_its_counts(self, caplog):
         caplog.set_level(logging.DEBUG, logger="graphonsp")
@@ -345,7 +358,7 @@ class TestCutDistance:
     def test_heuristic_counts_runs_stopped_by_the_cap(self):
         # a kernel whose products are fresh noise never lets a run settle
         noise = np.random.default_rng(2)
-        rows, cols, capped, products = cutmetric._bilinear_max_heuristic(
+        _, rows, cols, capped, products = heuristic(
             lambda X: noise.standard_normal(X.shape), 30, 3, substream(0, 1))
         assert capped == 6
         # one shared first product per restart, then two per run and round
@@ -728,10 +741,9 @@ class TestHeuristicStopRule:
 
     @staticmethod
     def assert_agrees(matmat, k, restarts, seed):
-        got = cutmetric._bilinear_max_heuristic(matmat, k, restarts,
-                                                substream(seed, 0xC07))
-        assert got[:3] == batched_heuristic_cut(matmat, k, restarts,
-                                                substream(seed, 0xC07))
+        got = heuristic(matmat, k, restarts, substream(seed, 0xC07))
+        assert got[1:4] == batched_heuristic_cut(matmat, k, restarts,
+                                                 substream(seed, 0xC07))
 
     @pytest.fixture
     def kernels(self, monkeypatch):
@@ -796,3 +808,71 @@ class TestHeuristicStopRule:
                   if r.getMessage().startswith("cut distance on the")]
         assert rec.args[0] == "union" and rec.args[-1] <= 720
         assert res.distance <= 2.0 / (int(np.floor(3000 ** 0.75)) - 1)
+
+
+class TestSplitHeuristic:
+    """Above 22 cells the heuristic's starts are split into one contiguous
+    range per CPU; every product column is computed on its own, so the
+    result must not depend on the number of ranges."""
+
+    @staticmethod
+    def results(monkeypatch, cut):
+        """``cut()``'s result and its heuristic's range count, at 1, 2 and
+        3 CPUs."""
+        heuristic = cutmetric._bilinear_max_heuristic
+        out = []
+        for cpus in (1, 2, 3):
+            ranges = []
+            monkeypatch.setattr(cutmetric, "_cpus", lambda: cpus)
+            monkeypatch.setattr(cutmetric, "_bilinear_max_heuristic",
+                                lambda *args: ranges.append(1) or heuristic(*args))
+            res = cut()
+            res = res.cut if isinstance(res, cutmetric.AlignmentResult) else res
+            out.append(((res.value, res.witness_rows, res.witness_cols, res.exact,
+                         res.capped_runs, res.products), len(ranges)))
+        return out
+
+    @pytest.mark.parametrize("restarts", [5, 16])
+    def test_union_kernel_of_two_samples(self, monkeypatch, restarts):
+        a, b = (gsp.canonical_graphon(gsp.sample_graph(gsp.ConstantBox(0.05, 1), 1, 600,
+                                                       seed).graph)
+                for seed in (1, 2))
+        out = self.results(monkeypatch, lambda: gsp.stretched_cut_distance(
+            a, b, restarts=restarts, seed=3))
+        # two candidates, each split into min(cpus, restarts) ranges
+        assert [n for _, n in out] == [2, 4, 6]
+        assert out[0][0] == out[1][0] == out[2][0]
+        assert out[0][0][5] > 0   # the winner's cut counts its products
+
+    # on the first two kernels, ranges tie at different witnesses (runs that
+    # end at (S, T) and at (T, S)), and the first range must win; a kernel
+    # in the exact range is never split
+    @pytest.mark.parametrize("seed, k, restarts", [(0, 40, 16), (1, 24, 16), (7, 40, 3),
+                                                   (7, 40, 5), (7, 22, 16)])
+    def test_heuristic_cut_norm(self, monkeypatch, seed, k, restarts):
+        w = random_step_graphon(seed, k=k, t=1.0, signed=True)
+        out = self.results(monkeypatch, lambda: gsp.cut_norm(
+            w, mode="heuristic", restarts=restarts, seed=4))
+        assert [n for _, n in out] == ([1, 2, 3] if k > 22 else [1, 1, 1])
+        assert out[0][0] == out[1][0] == out[2][0]
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_child_forked_after_a_split_cut_completes_its_own(self, monkeypatch):
+        # the pool's threads do not survive a fork; a child that reused the
+        # parent's pool would wait forever on work no thread runs
+        monkeypatch.setattr(cutmetric, "_cpus", lambda: 2)
+        w = random_step_graphon(7, k=40, t=1.0, signed=True)
+        expected = gsp.cut_norm(w, mode="heuristic", restarts=8, seed=4)
+        assert cutmetric._pool is not None
+
+        def cut_in_child():
+            sys.exit(gsp.cut_norm(w, mode="heuristic", restarts=8, seed=4) != expected)
+
+        child = multiprocessing.get_context("fork").Process(target=cut_in_child)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's cut did not finish within 60 s")
+        assert child.exitcode == 0

@@ -122,6 +122,24 @@ class TestCoefficientTrajectory:
         assert traj.generalized[0] == pytest.approx(
             inst.coefficients[-1] * (math.sqrt(2 * g.edge_count)) ** 2, rel=1e-6)
 
+    def test_one_adjacency_per_subgraph_and_the_public_fits(self, monkeypatch):
+        g = er_graph(120, 0.15, seed=21)
+        spec, sizes = gsp.DiffusionSpec(2), [40, 80, 120]
+        builds = []
+        adjacency = gsp.Graph.adjacency
+        monkeypatch.setattr(gsp.Graph, "adjacency",
+                            lambda self: builds.append(self.n) or adjacency(self))
+        traj = gsp.coefficient_trajectory(g, sizes, spec, seed=22)
+        # one build for the diffusion on g, then one per subgraph
+        assert builds == [120] + sizes
+        inst = gsp.synthesize_diffusion(g, spec, seed=22)
+        order = substream(22, 0x0D7).permutation(g.n)
+        for m_k, c, gen in zip(sizes, traj.classical, traj.generalized):
+            sub, kept = g.induced_subgraph(order[:m_k])
+            fits = [gsp.fit_filter(inst.f[kept], inst.g_out[kept], sub, 2, scaling=s)
+                    for s in ("classical", "generalized")]
+            assert (c, gen) == tuple(fit.filter.coefficients[-1] for fit in fits)
+
     def test_basis_change_ratio_on_exact_recovery(self):
         # leading coefficients differ by (sqrt(2 E_k) / m_k)^d across scalings
         g = er_graph(100, 0.2, seed=13)
