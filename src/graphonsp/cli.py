@@ -208,8 +208,6 @@ def cmd_spectra(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
                            f"got {cfg.tail_from}")
     if not 1 <= cfg.window <= cfg.growth_steps:
         raise GraphonError("window must fit inside the trajectory")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     g = core.read_edge_list(edge_list_path)
     if cfg.epsilon_m > 0.0:
         # trim the top epsilon_m fraction of the canonical embedding before
@@ -225,22 +223,25 @@ def cmd_spectra(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
             rows.append((p.n_index, p.n_vertices, p.n_edges, t, lam,
                          lam / p.n_vertices,
                          lam / np.sqrt(2.0 * p.n_edges) if p.n_edges else 0.0))
-    _write_csv(out_dir / "trajectory.csv",
-               ["n_index", "V", "E", "t", "lambda", "scaled_classical",
-                "scaled_generalized"], rows)
     fits = {}
     for t in sorted(set(int(t) for t in cfg.t_set)):
         reports = spectral.fit_models(traj, cfg.tail_from, t, cfg.edge_scale)
         fits[str(t)] = {name: {"slope": r.slope, "mse": r.mse,
                                "n_points": r.n_points}
                         for name, r in reports.items()}
-    _write_json(out_dir / "fits.json", fits)
     averages = spectral.moving_scaled_averages(traj, window=cfg.window)
     avg_rows = []
     for t in sorted(averages):
         a, b = averages[t]
         for i in range(a.size):
             avg_rows.append((t, i, a[i], b[i]))
+    # every result is in hand: a run that fails above writes nothing
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "trajectory.csv",
+               ["n_index", "V", "E", "t", "lambda", "scaled_classical",
+                "scaled_generalized"], rows)
+    _write_json(out_dir / "fits.json", fits)
     _write_csv(out_dir / "averages.csv",
                ["t", "window_start", "a_classical", "b_generalized"], avg_rows)
     return _finish(cfg, out_dir, "spectra")
@@ -260,8 +261,6 @@ def cmd_fit_filter(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
     if cfg.ratio_tail_from < 0:
         raise GraphonError(f"tail_from must lie in [0, {len(sizes) - 2}], "
                            f"got {cfg.ratio_tail_from}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     traj = filterfit.coefficient_trajectory(g, list(sizes), spec, seed=cfg.seed)
     tail = min(cfg.ratio_tail_from, max(0, len(traj.ks) - 2))
     ratios = {}
@@ -280,6 +279,8 @@ def cmd_fit_filter(cfg: RunConfig, edge_list_path, out_dir) -> ResultBundle:
                      traj.classical[idx], traj.generalized[idx],
                      _fmt_opt(ratios["classical"].get(idx)),
                      _fmt_opt(ratios["generalized"].get(idx))))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "coefficients.csv",
                ["k", "m_k", "E_k", "c_classical", "c_generalized",
                 "r_classical", "r_generalized"], rows)
@@ -319,13 +320,13 @@ def _load_comparison_input(cfg: RunConfig, text: str):
 
 def cmd_cutdist(cfg: RunConfig, input_a, input_b, out_dir) -> ResultBundle:
     """Stretched cut distance between two graphs or named graphon specs."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     wa = _load_comparison_input(cfg, str(input_a))
     wb = _load_comparison_input(cfg, str(input_b))
     res = cutmetric.stretched_cut_distance(
         wa, wb, mode=cfg.cut_mode, resolution=cfg.resolution,
         restarts=cfg.cut_restarts, seed=cfg.seed)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "cutdist.json", {
         "distance": res.distance,
         "exact": res.exact,

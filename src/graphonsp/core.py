@@ -93,15 +93,16 @@ class Graph:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex indices")
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        if np.any(lo == hi):
+        if np.any(arr[:, 0] == arr[:, 1]):
             raise ValueError("self-loops are not allowed")
-        if np.any(lo < 0) or np.any(hi >= n):
+        if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError("edge endpoint out of range")
-        # one int64 key per edge orders rows as (lo, hi) lexicographically
-        key = np.sort(lo * n + hi)
-        key = key[np.diff(key, prepend=-1) > 0]
+        # one int64 key per edge orders rows as (lo, hi) lexicographically;
+        # rows already in that order, without repeats, need no sort
+        key = np.minimum(arr[:, 0], arr[:, 1]) * n + np.maximum(arr[:, 0], arr[:, 1])
+        if np.any(key[1:] <= key[:-1]):
+            key = np.sort(key)
+            key = key[np.diff(key, prepend=-1) > 0]
         self.n = n
         self.edge_array = np.empty((key.size, 2), dtype=np.int64)
         np.divmod(key, n, out=(self.edge_array[:, 0], self.edge_array[:, 1]))
@@ -130,10 +131,13 @@ class Graph:
         """Adjacency matrix in canonical CSR form (sorted indices, no duplicates)."""
         n, e = self.n, self.edge_array
         # one sort of the keys i * n + j of both orientations orders the
-        # entries by row, then column; row i holds degree(i) of them
-        key = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        # entries by row, then column; row i holds degree(i) of them.  Both
+        # the sort and the reduction to column indices work in place.
+        key = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
+        key.sort()
+        np.remainder(key, n, out=key)
         indptr = np.concatenate([[0], np.cumsum(self.degrees())])
-        return sp.csr_matrix((np.ones(key.size), key % n, indptr), shape=(n, n))
+        return sp.csr_matrix((np.ones(key.size), key, indptr), shape=(n, n))
 
     def induced_subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
@@ -141,23 +145,17 @@ class Graph:
         Returns the relabeled graph together with the array of original
         vertex ids, ordered so that new index ``i`` is ``kept[i]``.
         """
-        kept = np.unique(np.asarray(vertices, dtype=np.int64))
-        if kept.size and (kept[0] < 0 or kept[-1] >= self.n):
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if vertices.size and (vertices.min() < 0 or vertices.max() >= self.n):
             raise ValueError("vertex id out of range")
-        lookup = np.full(self.n, -1, dtype=np.int64)
-        lookup[kept] = np.arange(kept.size)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[vertices] = True
         e = self.edge_array
-        if e.size:
-            mask = (lookup[e[:, 0]] >= 0) & (lookup[e[:, 1]] >= 0)
-            sub_edges = np.column_stack([lookup[e[mask, 0]], lookup[e[mask, 1]]])
-        else:
-            sub_edges = np.zeros((0, 2), dtype=np.int64)
-        return Graph(kept.size, sub_edges), kept
+        return _relabel(np.compress(mask[e[:, 0]] & mask[e[:, 1]], e, axis=0), mask)
 
     def drop_isolated(self) -> tuple["Graph", np.ndarray]:
         """Remove isolated vertices; returns (graph, original ids kept)."""
-        keep = np.nonzero(self.degrees() > 0)[0]
-        return self.induced_subgraph(keep)
+        return _relabel(self.edge_array.copy(), self.degrees() > 0)
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -165,6 +163,41 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _relabel(edges: np.ndarray, mask: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """The graph on the vertices in ``mask``, renumbered in id order, with
+    the canonical ``edges`` among them, and the old ids.  The renumbering is
+    increasing, so the rows stay canonical and :class:`Graph` skips its sort.
+    ``edges`` is renumbered in place, so no second copy outlives this call.
+    """
+    kept = np.flatnonzero(mask)
+    np.take(np.cumsum(mask) - 1, edges, out=edges)
+    return Graph(kept.size, edges), kept
+
+
+def _nested_subgraphs(g: Graph, order: np.ndarray, sizes, drop_isolated: bool = False):
+    """Yield ``(graph, kept)`` of ``g.induced_subgraph(order[:m])`` for each
+    ``m`` in ``sizes``, then ``drop_isolated()`` if asked, from one pass over
+    the edges.
+
+    An edge belongs to every prefix from its birth ``max(rank[i], rank[j])``
+    on, where ``rank`` is a vertex's position in ``order``; a vertex enters
+    at its rank, or under ``drop_isolated`` with its first edge.  Steps are
+    made one at a time, so only the current one is held.
+    """
+    rank = np.full(g.n, g.n, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    e = g.edge_array
+    birth = np.maximum(rank[e[:, 0]], rank[e[:, 1]])
+    entry = rank
+    if drop_isolated:
+        entry = np.full(g.n, g.n, dtype=np.int64)
+        np.minimum.at(entry, e[:, 0], birth)
+        np.minimum.at(entry, e[:, 1], birth)
+    for m in sizes:
+        # np.compress is faster than e[birth < m]
+        yield _relabel(np.compress(birth < m, e, axis=0), entry < m)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import Graph
+from .core import Graph, _nested_subgraphs
 from .errors import EmptyGraphError, GraphonError, RankDeficientError
 from .operators import PolynomialFilter
 from .rng import substream
@@ -219,9 +219,11 @@ def coefficient_trajectory(g: Graph, sizes, spec: DiffusionSpec,
     inst = synthesize_diffusion(g, spec, seed=seed)
     order = substream(seed, 0x0D7).permutation(g.n)
     traj = CoefficientTrajectory()
+    subgraphs = _nested_subgraphs(g, order, sizes)
     for k_idx, m_k in enumerate(sizes):
-        verts = order[:m_k]
-        sub, kept = g.induced_subgraph(verts)
+        # next(), not zip(): zip's reused result tuples keep two earlier
+        # subgraphs alive while the next one is built
+        sub, kept = next(subgraphs)
         f_k = inst.f[kept]
         y_k = inst.g_out[kept]
         try:

@@ -310,18 +310,10 @@ def grow_subgraphs(g: Graph, schedule: GrowthSchedule, seed: int) -> list:
     if total > g.n:
         raise ScheduleError(
             f"schedule needs {total} vertices but the graph has {g.n}")
-    rng = substream(seed, 0x60)
-    order = rng.permutation(g.n)
-    steps = []
-    for s in range(schedule.steps):
-        chosen = order[: schedule.batch * (s + 1)]
-        sub, kept = g.induced_subgraph(chosen)
-        if schedule.drop_isolated:
-            sub2, kept_local = sub.drop_isolated()
-            steps.append(GrowthStep(sub2, kept[kept_local]))
-        else:
-            steps.append(GrowthStep(sub, kept))
-    return steps
+    order = substream(seed, 0x60).permutation(g.n)
+    sizes = schedule.batch * np.arange(1, schedule.steps + 1)
+    return [GrowthStep(sub, kept) for sub, kept in
+            core._nested_subgraphs(g, order, sizes, schedule.drop_isolated)]
 
 
 def dense_core_graph(n: int, alpha: float) -> Graph:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,32 @@ class TestMainEntry:
         assert json.loads(lines[0]) == {"error": "GraphonError", "message": message}
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, error, message", [
+        ("cutdist-missing-file", "FileNotFoundError", "nope.txt"),
+        ("spectra-missing-file", "FileNotFoundError", "nope.txt"),
+        ("fit-filter-missing-file", "FileNotFoundError", "nope.txt"),
+        ("spectra-bad-edge-scale", "ValueError", "edge_scale must be 'E' or '2E'"),
+    ])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, case, error,
+                                                   message):
+        missing = str(tmp_path / "nope.txt")
+        config = write_config(tmp_path, t_set=[1], growth_batch=50, growth_steps=4,
+                              tail_from=1, window=2, edge_scale="X")
+        out = tmp_path / "out"
+        argv = {
+            "cutdist-missing-file": ["cutdist", "celebrity", missing],
+            "spectra-missing-file": ["spectra", missing],
+            "fit-filter-missing-file": ["fit-filter", missing],
+            "spectra-bad-edge-scale": ["spectra", str(small_graph_file(tmp_path)),
+                                       "--config", str(config)],
+        }[case] + ["--out", str(out)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == error and message in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("0 99999999999999999999\n", "malformed edge line: '0 99999999999999999999'"),
         ("n 99999999999999999999\n0 1\n",
@@ -432,6 +459,9 @@ class TestDeterminism:
         assert [m.split(":")[0] for m in solves] == [
             "eigensolve by eigh on 150 dimensions", "eigensolve by eigsh on 300 dimensions"]
         assert all("k_pos 1, k_neg 1; largest residual" in m for m in solves)
+        products = re.search(r"; (\d+) operator products$", solves[1])
+        assert products and int(products.group(1)) > 0
+        assert "operator products" not in solves[0]
         assert read_tree(tmp_path / "quiet") == read_tree(tmp_path / "debug")
 
     def test_library_logger_has_a_null_handler(self):

@@ -68,6 +68,24 @@ class TestGraph:
         iso, kept2 = g.drop_isolated()
         assert iso.n == 3 and list(kept2) == [0, 1, 2]
 
+    def test_edge_order_and_repeats_do_not_matter(self):
+        rng = np.random.default_rng(3)
+        iu = np.column_stack(np.triu_indices(30, 1))
+        e = iu[rng.random(len(iu)) < 0.3]
+        forms = {"sorted": e, "reversed": e[::-1], "shuffled": rng.permutation(e),
+                 "flipped": e[:, ::-1], "repeated": np.vstack([e, e[::3, ::-1]]),
+                 "sorted with a repeat": np.insert(e, 5, e[5], axis=0)}
+        for name, edges in forms.items():
+            assert gsp.Graph(30, edges).edge_array.tolist() == e.tolist(), name
+
+    def test_induced_subgraph_ids(self):
+        g = gsp.Graph(4, [(0, 1), (1, 2), (2, 3)])
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="vertex id out of range"):
+                g.induced_subgraph(np.array([0, bad]))
+        sub, kept = g.induced_subgraph(np.array([2, 1, 2, 1]))
+        assert sub.n == 2 and sub.edges == {(0, 1)} and kept.tolist() == [1, 2]
+
 
 class TestCanonicalGraphon:
     def test_triangle_l1_is_twice_edge_density(self):

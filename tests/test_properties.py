@@ -176,6 +176,43 @@ def test_graph_edges_are_sorted_unique_pairs(data, n, form):
     assert g.degrees().tolist() == [ends[v] for v in range(n)]
 
 
+@st.composite
+def _graphs_with_orders(draw):
+    """A graph on 0-12 vertices, a vertex order and increasing prefix sizes."""
+    n = draw(st.integers(0, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=30)) if n > 1 else []
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return gsp.Graph(n, pairs), order, sorted(draw(st.sets(st.integers(0, n))))
+
+
+@PROPERTY
+@given(case=_graphs_with_orders(), drop=st.booleans())
+@example(case=(gsp.Graph(6, [(0, 1), (1, 2)]), np.array([5, 0, 3, 1, 4, 2]), [1, 3, 6]),
+         drop=True)
+@example(case=(gsp.Graph(5, []), np.arange(5)[::-1], [0, 2, 5]), drop=True)
+@example(case=(gsp.Graph(4, [(0, 3)]), np.array([3, 1, 2, 0]), [4]), drop=False)
+def test_nested_subgraphs_match_induced_subgraphs(case, drop):
+    g, order, sizes = case
+    steps = list(core._nested_subgraphs(g, order, sizes, drop))
+    assert len(steps) == len(sizes)
+    for m, (sub, kept) in zip(sizes, steps):
+        want, want_kept = g.induced_subgraph(order[:m])
+        if drop:
+            want, local = want.drop_isolated()
+            want_kept = want_kept[local]
+        assert sub.n == want.n == kept.size
+        assert np.array_equal(sub.edge_array, want.edge_array)
+        assert np.array_equal(kept, want_kept)
+        # and by vertex sets alone: the kept edges, renumbered in id order
+        chosen = set(order[:m].tolist())
+        edges = [e for e in g.edges if chosen.issuperset(e)]
+        ids = sorted({v for e in edges for v in e} if drop else chosen)
+        new = {v: i for i, v in enumerate(ids)}
+        assert kept.tolist() == ids
+        assert sub.edges == {(new[i], new[j]) for i, j in edges}
+
+
 _PAD = st.text(alphabet=" \t", max_size=2)
 _SEP = st.text(alphabet=" \t", min_size=1, max_size=3)
 _BAD_LINES = ["4", "1 2 3", "x 2", "1.5 2", "n", "n x", "n 3 4", "2 y"]

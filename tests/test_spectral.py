@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +142,32 @@ class TestEigensolve:
         reps = [gsp.eigensolve(a, k_pos=3, k_neg=3, seed=9) for _ in range(2)]
         assert np.array_equal(reps[0].positive, reps[1].positive)
         assert np.array_equal(reps[0].negative, reps[1].negative)
+
+    def test_arpack_stops_at_a_hundredth_of_tol(self, caplog):
+        # ARPACK stops at tol / 100, not at machine precision; the extreme
+        # eigenvalues still match LAPACK, far inside the residual check
+        g, _ = gsp.sample_graph(gsp.RankOneExp(1, 1), 8.0, 1200, seed=4).graph.drop_isolated()
+        assert g.n > spectral.DENSE_THRESHOLD
+        a = g.adjacency()
+        dense_vals = scipy.linalg.eigh(a.toarray(), eigvals_only=True)
+        with caplog.at_level(logging.DEBUG, logger="graphonsp"):
+            rep = gsp.eigensolve(g, k_pos=3, k_neg=3, seed=1)
+        assert np.allclose(rep.positive, dense_vals[::-1][:3], rtol=1e-12, atol=0.0)
+        assert np.allclose(rep.negative, dense_vals[:3], rtol=1e-12, atol=0.0)
+        thresh = 1e-8 * abs(dense_vals).max()
+        assert max(rep.residual_pos.max(), rep.residual_neg.max()) <= 1e-2 * thresh
+        (record,) = [r.getMessage() for r in caplog.records if r.name == "graphonsp.spectral"]
+        products = int(re.search(r"; (\d+) operator products$", record).group(1))
+        # the same solve at eigsh's default tol = 0, machine precision
+        count = [0]
+
+        def matvec(x):
+            count[0] += 1
+            return a @ x
+
+        spla.eigsh(spla.LinearOperator(a.shape, matvec=matvec, dtype=a.dtype), k=6,
+                   which="BE", v0=substream(1, 0xE16).standard_normal(g.n))
+        assert 0 < products < count[0]
 
 
 class TestScaledSpectrum:
