@@ -168,24 +168,27 @@ def _finish(cfg: RunConfig, out_dir: Path, command: str) -> ResultBundle:
 def cmd_sample(cfg: RunConfig, out_dir) -> ResultBundle:
     """Sample the double sequence; write edge lists, densities, and the
     sparse-subsequence table."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     w = cfg.graphon()
     grid = sampling.sample_double_sequence(w, cfg.t_schedule, cfg.n_schedule, cfg.seed)
     rows = []
+    edges = []   # (graph, file name) per cell
     for mi, row in enumerate(grid):
         t_m = cfg.t_schedule[mi]
         limit = core.l1_restricted(w, t_m) / t_m**2
         for cell in row:
-            name = f"edges_m{mi}_n{cell.points.n}.txt"
-            core.write_edge_list(cell.graph, out_dir / name)
+            edges.append((cell.graph, f"edges_m{mi}_n{cell.points.n}.txt"))
             rows.append((mi, t_m, cell.points.n, cell.graph.edge_count,
                          sampling.pair_density(cell.graph), limit))
+    sub = sampling.extract_sparse_subsequence(grid, w, resolution=cfg.resolution,
+                                              seed=cfg.seed)
+    # every result is in hand: a run that fails above writes nothing
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cutmetric._map(core.write_edge_list, [(g, out_dir / name) for g, name in edges],
+                   [g.edge_count for g, _ in edges])
     _write_csv(out_dir / "densities.csv",
                ["m_index", "t_m", "n", "edges", "pair_density", "density_limit"],
                rows)
-    sub = sampling.extract_sparse_subsequence(grid, w, resolution=cfg.resolution,
-                                              seed=cfg.seed)
     _write_csv(out_dir / "subsequence.csv",
                ["m", "t_m", "phi_m", "pair_density", "density_limit",
                 "stretched_distance"],

@@ -747,12 +747,19 @@ def read_edge_list(path) -> Graph:
     return Graph(int(arr.max()) + 1 if n is None else n, arr)
 
 
+_WRITE_ROWS = 1 << 16   # edge rows formatted per write
+
+
 def write_edge_list(g: Graph, path) -> None:
-    """Write a graph in the edge-list format, with an ``n`` header line."""
+    """Write a graph in the edge-list format, with an ``n`` header line.
+
+    Rows are formatted ``_WRITE_ROWS`` at a time, so the memory it takes
+    does not grow with the edge count."""
     path = Path(path)
     with path.open("wb") as fh:
         fh.write(f"n {g.n}\n".encode("ascii"))
-        fh.write(_edge_lines(g.edge_array))
+        for start in range(0, g.edge_count, _WRITE_ROWS):
+            fh.write(_edge_lines(g.edge_array[start:start + _WRITE_ROWS]))
 
 
 def _edge_lines(edges: np.ndarray) -> bytes:

@@ -9,7 +9,8 @@ exceeds the exact value.  On a graph-sized kernel (more than
 ``EXACT_CUT_LIMIT`` cells: the union grid and ``cut_norm(mode="heuristic")``,
 both read through CSR products that compute every column on its own) the
 restarts are split into one contiguous range per CPU the process may run
-on, the first on the calling thread and the rest on a module thread pool;
+on, the first on the calling thread and the rest on the package's one
+thread pool (``_pool``, one worker per CPU, also used by :func:`_map`);
 the first column of largest value, in the original order, wins, so the
 result is bit-identical for any number of CPUs.  The lift's kernels (at
 most ``EXACT_CUT_LIMIT`` cells, dense BLAS products) stay one serial block.
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,29 +205,44 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_pool = None   # threads for all but the first range of a split heuristic
-
-
-def _drop_pool() -> None:
-    # a forked child inherits the pool but none of its threads
+def _new_pool() -> None:
+    """Make ``_pool``, the package's one thread pool: one worker per CPU,
+    for the split heuristic's ranges and :func:`_map`'s calls.  No task on
+    it waits on another.  It starts a thread only when a task finds none
+    idle, so importing starts none."""
     global _pool
-    _pool = None
+    _pool = ThreadPoolExecutor(_cpus())
 
 
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+    # a forked child inherits the pool but none of its threads
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _map(fn, calls: list, costs) -> list:
+    """``[fn(*args) for args in calls]``, run on the pool, submitted in
+    decreasing order of ``costs``.  If calls raise, the first in ``calls``
+    order that raised is re-raised, once no other call is running."""
+    order = sorted(range(len(calls)), key=lambda c: -costs[c])
+    futures = [None] * len(calls)
+    for c in order:
+        futures[c] = _pool.submit(fn, *calls[c])
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
+        wait(futures)
 
 
 def _split_heuristic(matmat, t0: np.ndarray, ranges: int) -> list:
     """:func:`_bilinear_max_heuristic` on ``t0`` split by start into
     ``ranges`` contiguous ranges, the first on the calling thread and the
-    others on the module's thread pool; returns the ranges' results in
-    order.  Each range's columns run exactly as in the whole block when
-    every product column is computed on its own."""
-    global _pool
+    others on the pool; returns the ranges' results in order.  Each range's
+    columns run exactly as in the whole block when every product column is
+    computed on its own."""
     blocks = np.array_split(t0, ranges, axis=1)
-    if ranges > 1 and _pool is None:
-        _pool = ThreadPoolExecutor()   # starts a thread only when none is idle
     rest = [_pool.submit(_bilinear_max_heuristic, matmat, b) for b in blocks[1:]]
     return [_bilinear_max_heuristic(matmat, blocks[0])] + [f.result() for f in rest]
 

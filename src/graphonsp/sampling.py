@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
+from . import core, cutmetric
 from .core import (ConstantBox, Graph, GraphonSpec, RankOneExp, StepGraphon,
                    StepSignal, canonical_graphon)
 from .cutmetric import stretched_cut_distance
@@ -172,7 +172,10 @@ def _block_labels(w: GraphonSpec, xs: np.ndarray) -> np.ndarray:
 
 def _sample_edges(w: GraphonSpec, xs: np.ndarray, rng) -> np.ndarray:
     """Edges ``(i, j)``, ``i < j``, each present independently with
-    probability ``W(x_i, x_j)``, for sorted points ``xs``."""
+    probability ``W(x_i, x_j)``, for sorted points ``xs``.
+
+    Candidate-sized arrays are built in place and dropped as soon as they
+    are dead, so the peak holds about four of them (int32 block-pair ids)."""
     n = xs.size
     new = np.concatenate([[True], np.diff(_block_labels(w, xs)) != 0])
     blk = np.cumsum(new) - 1                 # block of each point
@@ -200,23 +203,39 @@ def _sample_edges(w: GraphonSpec, xs: np.ndarray, rng) -> np.ndarray:
     full = q == 1.0
     counts = rng.poisson(npairs * -np.log1p(-np.where(full, 0.0, q)))
     counts[full] = npairs[full]
-    pid = np.repeat(np.arange(a.size), counts)
-    off = np.arange(pid.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    draw = ~full[pid]
-    off[draw] = rng.integers(0, npairs[pid[draw]])
-    pa, pb = a[pid], b[pid]
-    lo, hi = np.divmod(off, sizes[pb])
-    on = pa == pb
+    pid = np.repeat(np.arange(a.size, dtype=np.int32), counts)
+    if full.any():
+        off = np.arange(pid.size)
+        off -= np.repeat(np.cumsum(counts) - counts, counts)
+        draw = np.flatnonzero(~full[pid])
+        off[draw] = rng.integers(0, npairs[pid[draw]])
+        del draw
+    else:
+        off = rng.integers(0, npairs[pid])
+    # candidate (i, j) as the key i * n + j, built in place
+    lo, hi = np.divmod(off, sizes[b][pid])
+    on = np.flatnonzero(diag[pid])
     lo[on], hi[on] = _triangle_pair(off[on])
-    key = np.sort((starts[pa] + lo) * n + starts[pb] + hi)
-    key = key[np.diff(key, prepend=-1) > 0]
+    del off, on
+    hi += starts[b][pid]
+    lo += starts[a][pid]
+    del pid
+    lo *= n
+    lo += hi
+    del hi
+    lo.sort()
+    key = lo[np.diff(lo, prepend=-1) > 0]
+    del lo
     # thinning: keep a candidate with probability W / q
     i, j = np.divmod(key, n)
+    del key
     pid = first[blk[i]] + blk[j] - blk[i]
-    keep = rng.random(key.size) * q[pid] < w.eval(xs[i], xs[j])
+    keep = rng.random(i.size) * q[pid]
+    del pid
+    keep = keep < w.eval(xs[i], xs[j])
     logging.getLogger(__name__).debug(
         "sampled %d points in %d blocks, %d block pairs: %d candidates, "
-        "%d edges kept", n, starts.size, a.size, key.size, int(keep.sum()))
+        "%d edges kept", n, starts.size, a.size, i.size, int(keep.sum()))
     return np.column_stack([i[keep], j[keep]])
 
 
@@ -234,20 +253,20 @@ def sample_double_sequence(w: GraphonSpec, t_schedule, n_schedule,
 
     Returns a list of rows (one per ``t_m``), each a list over ``n``.  Grid
     cells use independent derived sub-seeds, so any cell can be regenerated
-    alone via its recorded seed.
+    alone via its recorded seed, and the cells are sampled on the package's
+    thread pool, largest expected edge count ``n^2 / t_m^2`` first.
     """
     t_schedule = [float(t) for t in t_schedule]
     n_schedule = [int(n) for n in n_schedule]
     if any(b <= a for a, b in zip(t_schedule, t_schedule[1:])):
         raise ScheduleError("t_schedule must be strictly increasing")
-    grid = []
-    for mi, t_m in enumerate(t_schedule):
-        row = []
-        for nj, n in enumerate(n_schedule):
-            cell_seed = derive_key(seed, mi, nj)
-            row.append(sample_graph(w, t_m, n, cell_seed, m_index=mi))
-        grid.append(row)
-    return grid
+    cells = [(w, t_m, n, derive_key(seed, mi, nj), mi)
+             for mi, t_m in enumerate(t_schedule) for nj, n in enumerate(n_schedule)]
+    # a cell with t_m <= 0 raises in sample_graph, not here
+    done = iter(cutmetric._map(sample_graph, cells,
+                               [n * n / t_m**2 if t_m > 0 else 0.0
+                                for _, t_m, n, _, _ in cells]))
+    return [[next(done) for _ in n_schedule] for _ in t_schedule]
 
 
 def extract_sparse_subsequence(grid, w: GraphonSpec, resolution: int = 256,

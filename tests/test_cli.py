@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import graphonsp as gsp
+from graphonsp import cutmetric
 from graphonsp.cli import RunConfig, cmd_cutdist, cmd_fit_filter, cmd_sample, cmd_spectra, main
 
 
@@ -22,6 +23,7 @@ def write_config(tmp_path, **overrides):
     cfg = RunConfig()
     for key, val in overrides.items():
         setattr(cfg, key, val)
+    tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / "config.json"
     path.write_text(cfg.to_json(), encoding="utf-8")
     return path
@@ -227,12 +229,19 @@ class TestMainEntry:
         ("spectra-missing-file", "FileNotFoundError", "nope.txt"),
         ("fit-filter-missing-file", "FileNotFoundError", "nope.txt"),
         ("spectra-bad-edge-scale", "ValueError", "edge_scale must be 'E' or '2E'"),
+        ("sample-probability-above-one", "ProbabilityRangeError", "exceeds 1"),
+        ("sample-decreasing-schedule", "ScheduleError",
+         "t_schedule must be strictly increasing"),
     ])
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, case, error,
                                                    message):
         missing = str(tmp_path / "nope.txt")
         config = write_config(tmp_path, t_set=[1], growth_batch=50, growth_steps=4,
                               tail_from=1, window=2, edge_scale="X")
+        # g(x) = 2 exp(-x): the n = 1 cells sample, the n = 50 cells raise
+        above_one = write_config(tmp_path / "p", graphon_family="rank_one_exp",
+                                 graphon_c=2.0, n_schedule=[1, 50])
+        decreasing = write_config(tmp_path / "t", t_schedule=[2.0, 1.0])
         out = tmp_path / "out"
         argv = {
             "cutdist-missing-file": ["cutdist", "celebrity", missing],
@@ -240,6 +249,8 @@ class TestMainEntry:
             "fit-filter-missing-file": ["fit-filter", missing],
             "spectra-bad-edge-scale": ["spectra", str(small_graph_file(tmp_path)),
                                        "--config", str(config)],
+            "sample-probability-above-one": ["sample", "--config", str(above_one)],
+            "sample-decreasing-schedule": ["sample", "--config", str(decreasing)],
         }[case] + ["--out", str(out)]
         assert main(argv) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -370,6 +381,22 @@ class TestDeterminism:
         cmd_sample(cfg, a)
         cmd_sample(cfg, b)
         assert read_tree(a) == read_tree(b)
+
+    def test_sample_files_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # cells are sampled, and their edge lists written, on the pool; the
+        # subsequence's union-grid cuts split their starts across the CPUs
+        cfg = RunConfig(seed=4, graphon_family="rank_one_exp", t_schedule=[2.0, 4.0],
+                        n_schedule=[100, 200, 400], resolution=32)
+        monkeypatch.setattr(cutmetric, "_pool", cutmetric._pool)   # restored after
+        trees = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cutmetric, "_cpus", lambda: cpus)
+            cutmetric._new_pool()
+            cmd_sample(cfg, tmp_path / str(cpus))
+            cutmetric._pool.shutdown()
+            trees.append(read_tree(tmp_path / str(cpus)))
+        assert len(trees[0]) == 6 + 5   # edge lists, 3 tables, config, manifest
+        assert trees[0] == trees[1] == trees[2]
 
     def test_spectra_rerun_is_byte_identical(self, tmp_path):
         g_path = small_graph_file(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -472,6 +473,22 @@ class TestEdgeList:
         lines = [f"n {n}\n"] + [f"{i} {j}\n" for i, j in g.edge_array.tolist()]
         assert p.read_bytes() == "".join(lines).encode("ascii")
         assert gsp.read_edge_list(p) == g
+
+    def test_writer_memory_is_bounded(self, tmp_path):
+        # 466k edges, seven write blocks; at one pass over all rows the
+        # writer's traced peak was 41 MB
+        g = gsp.sample_graph(gsp.RankOneExp(1.0, 1.0), 4.0, 4000, seed=7).graph
+        assert g.edge_count > 7 * core._WRITE_ROWS
+        p = tmp_path / "g.txt"
+        tracemalloc.start()
+        try:
+            gsp.write_edge_list(g, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        lines = [f"n {g.n}\n"] + [f"{i} {j}\n" for i, j in g.edge_array.tolist()]
+        assert p.read_bytes() == "".join(lines).encode("ascii")
 
     def test_comments_dedupe_and_maxid(self, tmp_path):
         p = tmp_path / "g.txt"

@@ -1,11 +1,15 @@
+import hashlib
 import math
+import multiprocessing
 import re
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import graphonsp as gsp
+from graphonsp import cutmetric
 from graphonsp.errors import ProbabilityRangeError, ScheduleError
 from graphonsp.rng import derive_key, substream
 from graphonsp.sampling import _block_labels, _sample_edges
@@ -21,6 +25,37 @@ class TestSampleGraph:
         assert np.array_equal(a.graph.edge_array, b.graph.edge_array)
         c = gsp.sample_graph(gsp.RankOneExp(1.0, 1.0), 4.0, 200, seed=12)
         assert not np.array_equal(a.graph.edge_array, c.graph.edge_array)
+
+    def test_draws_are_pinned(self):
+        # one sha256 over the vertex counts and edge arrays of these samples,
+        # computed before the sampler's arrays were made leaner; the two
+        # ConstantBox(1, 1) and the StepGraphon's 1.0 cells have complete
+        # block pairs (q = 1)
+        kernels = [gsp.RankOneExp(1.0, 1.0), gsp.RankOneExp(0.9, 0.5),
+                   gsp.ConstantBox(1.0, 1.0), gsp.ConstantBox(0.3, 2.0),
+                   gsp.StepGraphon([[1.0, 0.5, 0.0], [0.5, 1.0, 0.25],
+                                    [0.0, 0.25, 0.1]], 2.0, 1.0)]
+        digest = hashlib.sha256()
+        for w in kernels:
+            for t, n, seed in ((1.0, 1, 0), (2.0, 150, 3), (4.0, 700, 11),
+                               (8.0, 1200, 2024)):
+                g = gsp.sample_graph(w, t, n, seed, m_index=1).graph
+                digest.update(np.int64(g.n).tobytes())
+                digest.update(np.ascontiguousarray(g.edge_array, dtype="<i8").tobytes())
+        assert digest.hexdigest() == (
+            "94f8220e833b3d26e8879ea5d0fe3707b8f7ba07b92ffb7d4042b8835f33d1d7")
+
+    def test_sampler_memory_is_bounded(self):
+        # at most 6x the bytes of the edge array it returns; with every
+        # candidate-sized array kept to the end it was 9.6x
+        tracemalloc.start()
+        try:
+            sg = gsp.sample_graph(gsp.RankOneExp(1.0, 1.0), 4.0, 4000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sg.graph.edge_count > 450_000
+        assert peak <= 6 * sg.graph.edge_array.nbytes
 
     def test_zero_graphon_gives_empty_graph(self):
         sg = gsp.sample_graph(gsp.ConstantBox(0.0, 1.0), 1.0, 50, seed=0)
@@ -232,6 +267,67 @@ class TestDoubleSequence:
     def test_non_increasing_schedule_errors(self):
         with pytest.raises(ScheduleError):
             gsp.sample_double_sequence(gsp.CelebrityLimit(), [2.0, 2.0], [10], seed=0)
+
+    def test_cells_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # each cell is sampled on the pool from its own substream; more
+        # workers than cores and a short switch interval shuffle the order
+        w = gsp.RankOneExp(1.0, 1.0)
+        ts, ns = [2.0, 4.0, 8.0], [300, 600, 1200]
+        expected = [[gsp.sample_graph(w, t, n, derive_key(5, mi, nj), m_index=mi)
+                     for nj, n in enumerate(ns)] for mi, t in enumerate(ts)]
+        monkeypatch.setattr(cutmetric, "_pool", cutmetric._pool)   # restored after
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(cutmetric, "_cpus", lambda: cpus)
+                cutmetric._new_pool()
+                grid = gsp.sample_double_sequence(w, ts, ns, seed=5)
+                cutmetric._pool.shutdown()
+                assert [[c.seed for c in row] for row in grid] == [
+                    [c.seed for c in row] for row in expected]
+                for row, want in zip(grid, expected):
+                    for cell, ref in zip(row, want):
+                        assert cell.points.m_index == ref.points.m_index
+                        assert np.array_equal(cell.points.xs, ref.points.xs)
+                        assert np.array_equal(cell.graph.edge_array,
+                                              ref.graph.edge_array)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_first_failing_cell_in_row_order_raises(self):
+        # n = 1 never raises, so every other cell fails; cell (0, 1) is the
+        # first in row order, and the message names its points, as a serial
+        # loop would, though the larger cells (0, 2) and (1, 2) start first
+        w = gsp.RankOneExp(2.0, 1.0)
+        with pytest.raises(ProbabilityRangeError) as err:
+            gsp.sample_double_sequence(w, [1.0, 2.0], [1, 50, 400], seed=4)
+        with pytest.raises(ProbabilityRangeError) as first:
+            gsp.sample_graph(w, 1.0, 50, derive_key(4, 0, 1), m_index=0)
+        assert str(err.value) == str(first.value)
+
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_child_forked_after_sampling_completes_its_own(self):
+        # the pool's threads do not survive a fork; a child that reused the
+        # parent's pool would wait forever on cells no thread samples
+        def edges():
+            grid = gsp.sample_double_sequence(gsp.RankOneExp(1.0, 1.0), [2.0, 4.0],
+                                              [200, 400], seed=3)
+            return [cell.graph.edge_array.tobytes() for row in grid for cell in row]
+
+        expected = edges()
+
+        def sample_in_child():
+            sys.exit(edges() != expected)
+
+        child = multiprocessing.get_context("fork").Process(target=sample_in_child)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's sampling did not finish within 60 s")
+        assert child.exitcode == 0
 
     def test_rank_one_densities_decrease_toward_closed_form_limits(self):
         # closed-form limits (1 - e^{-t})^2 / t^2
