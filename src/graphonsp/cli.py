@@ -309,15 +309,18 @@ def _load_comparison_input(cfg: RunConfig, text: str):
     if ":" in text:
         for item in text.split(":", 1)[1].split(","):
             key, sep, val = item.partition("=")
+            key = key.strip()
             try:
-                num = float(val) if sep and key.strip() in allowed else math.nan
+                num = float(val) if sep and key in allowed else math.nan
             except ValueError:
                 num = math.nan
             if not math.isfinite(num):
                 raise GraphonError(
                     f"bad item {item!r} in spec {text!r}: expected key=value with "
                     f"key in {list(allowed)} and a finite number")
-            params[key.strip()] = num
+            if key in params:
+                raise GraphonError(f"key {key!r} repeated in spec {text!r}")
+            params[key] = num
     return make(*(params.get(key, getattr(cfg, f"graphon_{key}")) for key in allowed))
 
 

@@ -1,9 +1,9 @@
-"""Core value types: graphs, step graphons, analytic graphon families, signals.
+"""Core value types: graphs, step graphons, the analytic rank-one family, signals.
 
 All objects are immutable after construction and safe to share across
 threads.  Step graphons live on a uniform grid over ``[0, t]^2``, hold their
 values as one read-only canonical CSR matrix and carry exact 1- and 2-norms;
-the analytic families carry closed-form norms and pointwise evaluation so
+the analytic family carries closed-form norms and pointwise evaluation so
 that discretization error never enters silently.
 """
 
@@ -287,6 +287,38 @@ class StepGraphon(_StepBase):
             raise ValueError("value exceeds the stated bound")
 
 
+class ConstantBox(StepGraphon):
+    """``p`` on ``[0, s]^2`` and zero elsewhere: the one-cell step graphon.
+
+    Equal to, and hashed as, any box with the same ``p`` and ``s``."""
+
+    def __init__(self, p: float, s: float):
+        if not (0.0 <= p <= 1.0):
+            raise ValueError("p must lie in [0, 1]")
+        if not (s > 0):
+            raise ValueError("side length must be positive")
+        super().__init__([[p]], s, p if p > 0 else 1.0)
+
+    @property
+    def p(self) -> float:
+        return float(self.values.sum())
+
+    @property
+    def s(self) -> float:
+        return self.t
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.s) == (other.p, other.s)
+
+    def __hash__(self):
+        return hash((self.p, self.s))
+
+    def __repr__(self):
+        return f"ConstantBox(p={self.p!r}, s={self.s!r})"
+
+
 class SignedStepGraphon(_StepBase):
     """Step graphon allowed to take negative values (differences W1 - W2)."""
 
@@ -298,45 +330,6 @@ class SignedStepGraphon(_StepBase):
 # ---------------------------------------------------------------------------
 # analytic families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConstantBox:
-    """``p`` on ``[0, s]^2`` and zero elsewhere."""
-
-    p: float
-    s: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError("p must lie in [0, 1]")
-        if not (self.s > 0):
-            raise ValueError("side length must be positive")
-
-    @property
-    def l1_norm(self) -> float:
-        return self.p * self.s**2
-
-    @property
-    def l2_norm(self) -> float:
-        return self.p * self.s
-
-    @property
-    def value_bound(self) -> float:
-        return self.p
-
-    @property
-    def support_length(self) -> float:
-        return self.s
-
-    def eval(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        out = np.where((x >= 0) & (x <= self.s) & (y >= 0) & (y <= self.s), self.p, 0.0)
-        return out if out.ndim else float(out)
-
-    def l1_restricted(self, t_m: float) -> float:
-        return self.p * min(self.s, t_m) ** 2
-
 
 @dataclass(frozen=True)
 class RankOneExp:
@@ -387,7 +380,7 @@ def CelebrityLimit() -> ConstantBox:
     return ConstantBox(1.0, 1.0)
 
 
-GraphonSpec = Union[StepGraphon, ConstantBox, RankOneExp]
+GraphonSpec = Union[StepGraphon, RankOneExp]
 
 
 def l1_restricted(w: GraphonSpec, t_m: float) -> float:
@@ -483,8 +476,6 @@ def stretch(w: GraphonSpec) -> tuple[GraphonSpec, StretchTag]:
     r = math.sqrt(l1)
     if isinstance(w, _StepBase):
         return w._with_support(w.t / r), StretchTag(r, w.t)
-    if isinstance(w, ConstantBox):
-        return ConstantBox(w.p, w.s / r), StretchTag(r, w.s)
     if isinstance(w, RankOneExp):
         # g(r x) = c exp(-(lam r) x): same family, faster decay.
         return RankOneExp(w.c, w.lam * r), StretchTag(r, None)
@@ -540,10 +531,10 @@ def normalized_graphon(g: Graph) -> StepGraphon:
 def restrict(w: GraphonSpec, t_m: float, resolution: int | None = None) -> StepGraphon:
     """Restrict ``W`` to ``[0, t_m]^2`` and rescale onto ``[0, 1]^2``.
 
-    For step inputs whose grid is exactly commensurable with ``t_m`` the
-    result is an exact sub-grid extraction; analytic inputs (and other step
-    inputs) are midpoint-sampled on a ``resolution``-cell grid, which must
-    then be supplied explicitly.
+    For step inputs (a ``ConstantBox`` among them) whose grid is exactly
+    commensurable with ``t_m`` the result is an exact sub-grid extraction;
+    ``RankOneExp`` (and other step inputs) are midpoint-sampled on a
+    ``resolution``-cell grid, which must then be supplied explicitly.
     """
     if not (t_m > 0):
         raise ValueError("t_m must be positive")
@@ -565,7 +556,7 @@ def as_step(w: GraphonSpec, resolution: int | None = None,
             support: float | None = None) -> StepGraphon:
     """Exact step representation where one exists, else a midpoint sample.
 
-    ``ConstantBox`` converts exactly (one cell);
+    A ``StepGraphon`` (a ``ConstantBox`` among them) is returned as it is;
     ``RankOneExp`` needs ``resolution`` and a support cutoff (default
     ``40 / lam``, beyond which the mass is far below double precision).
     """
@@ -573,8 +564,6 @@ def as_step(w: GraphonSpec, resolution: int | None = None,
         return w
     if isinstance(w, SignedStepGraphon):
         raise TypeError("signed step graphons are already step representations")
-    if isinstance(w, ConstantBox):
-        return StepGraphon(np.array([[w.p]]), w.s, w.p if w.p > 0 else 1.0)
     if isinstance(w, RankOneExp):
         if resolution is None:
             raise StepRequiredError(

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import core
 from .core import (
-    ConstantBox,
     GraphonSpec,
     RankOneExp,
     StepGraphon,
@@ -580,6 +579,6 @@ def _relabel(idx: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def _to_spec(w) -> GraphonSpec:
-    if isinstance(w, (StepGraphon, ConstantBox, RankOneExp)):
+    if isinstance(w, (StepGraphon, RankOneExp)):
         return w
     raise TypeError(f"not a graphon spec: {type(w).__name__}")

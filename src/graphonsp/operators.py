@@ -16,7 +16,6 @@ from numpy.polynomial import chebyshev as cheb
 
 from . import core, spectral
 from .core import (
-    ConstantBox,
     GraphonSpec,
     RankOneExp,
     StepGraphon,
@@ -78,18 +77,14 @@ class GraphonOperator:
     def from_spec(cls, w: GraphonSpec) -> "GraphonOperator":
         """Build the operator of ``W^s``; ``W`` is stretched internally.
 
-        ``ConstantBox`` becomes an exact one-cell step kernel; ``RankOneExp``
-        keeps its closed-form rank-one action (use
-        :func:`graphonsp.core.as_step` first when a step kernel is needed,
-        e.g. for spectral filtering).
+        A ``StepGraphon`` (a ``ConstantBox`` among them) gives its stretched
+        step kernel exactly; ``RankOneExp`` keeps its closed-form rank-one
+        action (use :func:`graphonsp.core.as_step` first when a step kernel
+        is needed, e.g. for spectral filtering).
         """
         bound = operator_norm_bound(w)
         ws, _ = stretch(w)
-        if isinstance(ws, RankOneExp):
-            return cls(ws, bound)
-        if isinstance(ws, ConstantBox):
-            ws = core.as_step(ws)
-        if not isinstance(ws, StepGraphon):
+        if not isinstance(ws, (StepGraphon, RankOneExp)):
             raise StepRequiredError(f"cannot build an operator from {type(w).__name__}")
         return cls(ws, bound)
 

@@ -9,14 +9,14 @@ cell individually reproducible and order-independent.
 :func:`sample_graph` never probes all ``n (n - 1) / 2`` pairs.  It splits
 the sorted points into blocks, runs on which ``W`` does not increase in
 either coordinate: the kernel's own cells for a :class:`StepGraphon` (plus
-one block beyond its support), ``x <= s`` and ``x > s`` for
-:class:`ConstantBox`, and for :class:`RankOneExp` bins of width
+one block beyond its support, so ``x <= s`` and ``x > s`` for the one-cell
+:class:`ConstantBox`), and for :class:`RankOneExp` bins of width
 ``1 / (8 lam)`` up to the point ``x*`` where ``g(x*) = 1/n``, then one tail
 block, so ``B = O(log n)`` blocks.  On each block pair ``W`` is largest at
 its first pair, which gives an exact envelope ``q``.  A Poisson number of
 uniform candidate pairs, with mean ``-N log(1 - q)`` for ``N`` pairs, hits
 each pair with probability exactly ``q``; each distinct candidate is then
-kept with probability ``W / q``, which is 1 for the step families.  The
+kept with probability ``W / q``, which is 1 for step graphons.  The
 cost is ``O(n + B^2 + |E|)``.
 """
 
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, cutmetric
-from .core import (ConstantBox, Graph, GraphonSpec, RankOneExp, StepGraphon,
-                   StepSignal, canonical_graphon)
+from .core import (Graph, GraphonSpec, RankOneExp, StepGraphon, StepSignal,
+                   canonical_graphon)
 from .cutmetric import stretched_cut_distance
 from .errors import ProbabilityRangeError, ScheduleError
 from .rng import derive_key, substream
@@ -153,14 +153,12 @@ def _block_labels(w: GraphonSpec, xs: np.ndarray) -> np.ndarray:
     """A nondecreasing label per sorted point.
 
     On a run of equal labels ``W`` does not increase in either coordinate,
-    and for the step families it is constant on every pair of runs.
+    and for a step graphon it is constant on every pair of runs.
     """
     if isinstance(w, StepGraphon):
         # the cell rule of _StepBase.eval, and label k beyond the support
         cell = core._cell_index(w, xs)
         return np.where(cell >= 0, cell, w.k)
-    if isinstance(w, ConstantBox):
-        return xs > w.support_length
     if isinstance(w, RankOneExp):
         # bins of width 1 / (8 lam) up to x* = log(c^2 n^2) / lam, where
         # g(x*) = 1/n, then one tail block: B = O(log n) for any t_m
@@ -251,15 +249,17 @@ def sample_double_sequence(w: GraphonSpec, t_schedule, n_schedule,
                            seed: int) -> list:
     """Sample ``G_{m,n}`` for every pair of the two schedules.
 
-    Returns a list of rows (one per ``t_m``), each a list over ``n``.  Grid
-    cells use independent derived sub-seeds, so any cell can be regenerated
-    alone via its recorded seed, and the cells are sampled on the package's
-    thread pool, largest expected edge count ``n^2 / t_m^2`` first.
+    Both schedules must be strictly increasing.  Returns a list of rows
+    (one per ``t_m``), each a list over ``n``.  Grid cells use independent
+    derived sub-seeds, so any cell can be regenerated alone via its recorded
+    seed, and the cells are sampled on the package's thread pool, largest
+    expected edge count ``n^2 / t_m^2`` first.
     """
     t_schedule = [float(t) for t in t_schedule]
     n_schedule = [int(n) for n in n_schedule]
-    if any(b <= a for a, b in zip(t_schedule, t_schedule[1:])):
-        raise ScheduleError("t_schedule must be strictly increasing")
+    for name, sched in (("t_schedule", t_schedule), ("n_schedule", n_schedule)):
+        if any(b <= a for a, b in zip(sched, sched[1:])):
+            raise ScheduleError(f"{name} must be strictly increasing")
     cells = [(w, t_m, n, derive_key(seed, mi, nj), mi)
              for mi, t_m in enumerate(t_schedule) for nj, n in enumerate(n_schedule)]
     # a cell with t_m <= 0 raises in sample_graph, not here

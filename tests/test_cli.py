@@ -12,7 +12,9 @@ import pytest
 
 import graphonsp as gsp
 from graphonsp import cutmetric
-from graphonsp.cli import RunConfig, cmd_cutdist, cmd_fit_filter, cmd_sample, cmd_spectra, main
+from graphonsp.cli import (RunConfig, _load_comparison_input, cmd_cutdist, cmd_fit_filter,
+                           cmd_sample, cmd_spectra, main)
+from graphonsp.errors import GraphonError
 
 
 def read_tree(out_dir):
@@ -183,6 +185,19 @@ class TestMainEntry:
         if command == "cutdist-spec":
             assert "key=value" in err["message"]
 
+    def test_repeated_spec_key_gives_one_json_error(self, tmp_path, capsys):
+        # the last value used to win without a word
+        spec = "constant_box:p=0.5,p=0.9,s=1"
+        with pytest.raises(GraphonError, match="key 'p' repeated"):
+            _load_comparison_input(RunConfig(), spec)
+        out = tmp_path / "out"
+        assert main(["cutdist", spec, "celebrity", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "GraphonError", "message": f"key 'p' repeated in spec {spec!r}"}
+        assert not out.exists()
+
     def test_spectra_t_zero_gives_one_json_error(self, tmp_path, capsys):
         argv = ["spectra", str(small_graph_file(tmp_path)), "--out", str(tmp_path / "out"),
                 "--config", str(write_config(tmp_path, t_set=[0, 1], growth_batch=50,
@@ -232,6 +247,10 @@ class TestMainEntry:
         ("sample-probability-above-one", "ProbabilityRangeError", "exceeds 1"),
         ("sample-decreasing-schedule", "ScheduleError",
          "t_schedule must be strictly increasing"),
+        ("sample-repeated-n-schedule", "ScheduleError",
+         "n_schedule must be strictly increasing"),
+        ("sample-decreasing-n-schedule", "ScheduleError",
+         "n_schedule must be strictly increasing"),
     ])
     def test_failed_run_leaves_no_output_directory(self, tmp_path, capsys, case, error,
                                                    message):
@@ -242,6 +261,8 @@ class TestMainEntry:
         above_one = write_config(tmp_path / "p", graphon_family="rank_one_exp",
                                  graphon_c=2.0, n_schedule=[1, 50])
         decreasing = write_config(tmp_path / "t", t_schedule=[2.0, 1.0])
+        repeated_n = write_config(tmp_path / "rn", t_schedule=[4.0], n_schedule=[300, 300])
+        decreasing_n = write_config(tmp_path / "dn", n_schedule=[100, 50])
         out = tmp_path / "out"
         argv = {
             "cutdist-missing-file": ["cutdist", "celebrity", missing],
@@ -251,6 +272,8 @@ class TestMainEntry:
                                        "--config", str(config)],
             "sample-probability-above-one": ["sample", "--config", str(above_one)],
             "sample-decreasing-schedule": ["sample", "--config", str(decreasing)],
+            "sample-repeated-n-schedule": ["sample", "--config", str(repeated_n)],
+            "sample-decreasing-n-schedule": ["sample", "--config", str(decreasing_n)],
         }[case] + ["--out", str(out)]
         assert main(argv) == 1
         lines = capsys.readouterr().err.splitlines()

@@ -305,6 +305,8 @@ class TestRestrict:
         w = gsp.restrict(gsp.ConstantBox(0.6, 1.0), 2.0, resolution=8)
         assert w.t == 1.0
         assert w.l1_norm == pytest.approx(0.6 / 4, abs=1e-15)
+        # the one-cell box is read exactly: one cell of the 2-cell grid is on it
+        assert np.array_equal(w.values.toarray(), [[0.6, 0.0], [0.0, 0.0]])
 
     def test_box_restricted_to_support(self):
         w = gsp.restrict(gsp.ConstantBox(0.6, 1.0), 1.0, resolution=4)
@@ -337,6 +339,59 @@ class TestRestrict:
         assert gsp.l1_restricted(w, 10.0) == pytest.approx(w.l1_norm, rel=1e-14)
         assert gsp.l1_restricted(gsp.RankOneExp(1, 1), 8.0) == pytest.approx(
             (1 - math.exp(-8)) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, s", [(0.0, 1.0), (0.3, 2.0), (1.0, 1.0), (0.05, 0.5)])
+class TestConstantBoxIsOneCellStep:
+    """A box behaves as the one-cell step graphon with the same value."""
+
+    @staticmethod
+    def pair(p, s):
+        return gsp.ConstantBox(p, s), gsp.StepGraphon([[p]], s, p if p > 0 else 1.0)
+
+    def test_is_a_step_graphon_with_box_identity(self, p, s):
+        box, _ = self.pair(p, s)
+        assert isinstance(box, gsp.StepGraphon) and box.k == 1
+        assert (box.p, box.s) == (p, s)
+        assert box == gsp.ConstantBox(p, s) and hash(box) == hash((p, s))
+        assert box != gsp.ConstantBox(p, 2 * s)
+        assert box != gsp.StepGraphon([[p]], s, 1.0)
+        assert repr(box) == f"ConstantBox(p={p!r}, s={s!r})"
+
+    def test_sample_graph_draws_the_same_edges(self, p, s):
+        box, step = self.pair(p, s)
+        for t_m, n, seed in ((s, 200, 0), (3.0 * s, 500, 4)):
+            a = gsp.sample_graph(box, t_m, n, seed).graph.edge_array
+            b = gsp.sample_graph(step, t_m, n, seed).graph.edge_array
+            assert np.array_equal(a, b)
+
+    def test_stretch_keeps_the_box(self, p, s):
+        box, step = self.pair(p, s)
+        if p == 0:
+            for w in (box, step):
+                with pytest.raises(ZeroGraphonError):
+                    gsp.stretch(w)
+            return
+        (bs, btag), (ss, stag) = gsp.stretch(box), gsp.stretch(step)
+        assert type(bs) is gsp.ConstantBox and btag == stag
+        assert (bs.t, bs.l1_norm) == (ss.t, ss.l1_norm)
+        assert (bs.p, bs.s) == (p, ss.t)
+
+    def test_cut_distance_and_operator_match(self, p, s):
+        box, step = self.pair(p, s)
+        g = gsp.sample_graph(gsp.ConstantBox(0.4, 1.0), 1.0, 300, 5).canonical()
+        if p == 0:
+            for w in (box, step):
+                with pytest.raises(ZeroGraphonError):
+                    gsp.stretched_cut_distance(g, w, restarts=4)
+                with pytest.raises(ZeroGraphonError):
+                    gsp.GraphonOperator.from_spec(w)
+            return
+        assert gsp.stretched_cut_distance(g, box, restarts=4) == \
+            gsp.stretched_cut_distance(g, step, restarts=4)
+        a = gsp.GraphonOperator.from_spec(box).matrix()
+        b = gsp.GraphonOperator.from_spec(step).matrix()
+        assert np.array_equal(a.toarray(), b.toarray())
 
 
 class TestStepSignal:

@@ -268,6 +268,12 @@ class TestDoubleSequence:
         with pytest.raises(ScheduleError):
             gsp.sample_double_sequence(gsp.CelebrityLimit(), [2.0, 2.0], [10], seed=0)
 
+    @pytest.mark.parametrize("ns", [[3000, 3000], [50, 40]], ids=["repeated", "decreasing"])
+    def test_non_increasing_n_schedule_errors(self, ns):
+        # two cells with one n would write one edge-list file twice
+        with pytest.raises(ScheduleError, match="n_schedule must be strictly increasing"):
+            gsp.sample_double_sequence(gsp.RankOneExp(1.0, 1.0), [4.0], ns, seed=7)
+
     def test_cells_do_not_depend_on_the_cpu_count(self, monkeypatch):
         # each cell is sampled on the pool from its own substream; more
         # workers than cores and a short switch interval shuffle the order
