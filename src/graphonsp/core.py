@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -221,8 +222,7 @@ class _StepBase:
         # sparse == would warn (it is true on every implicit zero); != is not
         if (values != values.T).nnz:
             raise ValueError("values must be symmetric")
-        if not (t > 0):
-            raise ValueError("support length t must be positive")
+        _check_length(t, "support length t")
         self.k = values.shape[0]
         self.t = float(t)
         self.values = values
@@ -236,8 +236,7 @@ class _StepBase:
 
     def _with_support(self, t: float):
         """The same validated, read-only values on ``[0, t]^2``, not re-checked."""
-        if not (t > 0):
-            raise ValueError("support length t must be positive")
+        _check_length(t, "support length t")
         out = object.__new__(type(self))
         out.k, out.t = self.k, float(t)
         out.values, out.value_bound = self.values, self.value_bound
@@ -325,6 +324,43 @@ class SignedStepGraphon(_StepBase):
     def _check_bound(self):
         if np.abs(self.values.data).max(initial=0.0) > self.value_bound:
             raise ValueError("absolute value exceeds the stated bound")
+
+
+class _RankOneStep:
+    """The rank-one step graphon ``v v'`` on ``k`` equal cells of ``[0, t]^2``,
+    held as its read-only factor ``v``: the midpoint sample of a
+    :class:`RankOneExp`, with ``O(k)`` storage where a :class:`StepGraphon`
+    stores ``k^2`` values.  :meth:`to_step` forms those values, bit for bit
+    the products ``v_i * v_j``; the checks are :class:`StepGraphon`'s on
+    them: ``v >= 0`` and ``max_i v_i^2 <= value_bound``."""
+
+    __slots__ = ("k", "t", "factor", "value_bound")
+
+    def __init__(self, factor: np.ndarray, t: float, value_bound: float):
+        factor = np.array(factor, dtype=np.float64)
+        if factor.ndim != 1 or not factor.size:
+            raise ValueError("the factor must be a nonempty vector")
+        if factor.min() < 0:
+            raise ValueError("step graphon values must be nonnegative")
+        if factor.max() ** 2 > value_bound:
+            raise ValueError("value exceeds the stated bound")
+        factor.setflags(write=False)
+        self.k, self.t = factor.size, float(_check_length(t, "support length t"))
+        self.factor, self.value_bound = factor, float(value_bound)
+
+    @property
+    def cell_width(self) -> float:
+        return self.t / self.k
+
+    @property
+    def l1_norm(self) -> float:
+        return (self.cell_width * float(self.factor.sum())) ** 2
+
+    def _with_support(self, t: float) -> "_RankOneStep":
+        return _RankOneStep(self.factor, t, self.value_bound)
+
+    def to_step(self) -> StepGraphon:
+        return StepGraphon(np.outer(self.factor, self.factor), self.t, self.value_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +510,7 @@ def stretch(w: GraphonSpec) -> tuple[GraphonSpec, StretchTag]:
     if l1 <= 0.0:
         raise ZeroGraphonError("cannot stretch a graphon with zero 1-norm")
     r = math.sqrt(l1)
-    if isinstance(w, _StepBase):
+    if isinstance(w, (_StepBase, _RankOneStep)):
         return w._with_support(w.t / r), StretchTag(r, w.t)
     if isinstance(w, RankOneExp):
         # g(r x) = c exp(-(lam r) x): same family, faster decay.
@@ -536,8 +572,13 @@ def restrict(w: GraphonSpec, t_m: float, resolution: int | None = None) -> StepG
     ``RankOneExp`` (and other step inputs) are midpoint-sampled on a
     ``resolution``-cell grid, which must then be supplied explicitly.
     """
-    if not (t_m > 0):
-        raise ValueError("t_m must be positive")
+    out = _restrict(w, t_m, resolution)
+    return out.to_step() if isinstance(out, _RankOneStep) else out
+
+
+def _restrict(w: GraphonSpec, t_m: float, resolution: int | None):
+    """:func:`restrict`, with a ``RankOneExp`` kept as a :class:`_RankOneStep`."""
+    _check_length(t_m, "t_m")
     if isinstance(w, _StepBase):
         k = _refinement(t_m, w)
         if k is not None:  # exact sub-grid extraction
@@ -545,11 +586,10 @@ def restrict(w: GraphonSpec, t_m: float, resolution: int | None = None) -> StepG
         # fall through to midpoint sampling
     if resolution is None:
         raise ValueError("a discretization resolution is required for this input")
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
-    mids = (np.arange(resolution) + 0.5) * (t_m / resolution)
-    vals = w.eval(mids[:, None], mids[None, :])
-    return StepGraphon(vals, 1.0, w.value_bound)
+    mids = _midpoints(t_m, resolution)
+    if isinstance(w, RankOneExp):
+        return _RankOneStep(w.profile(mids), 1.0, w.value_bound)
+    return StepGraphon(w.eval(mids[:, None], mids[None, :]), 1.0, w.value_bound)
 
 
 def as_step(w: GraphonSpec, resolution: int | None = None,
@@ -565,12 +605,35 @@ def as_step(w: GraphonSpec, resolution: int | None = None,
     if isinstance(w, SignedStepGraphon):
         raise TypeError("signed step graphons are already step representations")
     if isinstance(w, RankOneExp):
-        if resolution is None:
-            raise StepRequiredError(
-                "RankOneExp has no exact step form; pass a resolution")
-        t_cut = support if support is not None else 40.0 / w.lam
-        return restrict(w, t_cut, resolution)._with_support(t_cut)
+        return _rank_one_step(w, resolution, support).to_step()
     raise TypeError(f"not a graphon spec: {type(w).__name__}")
+
+
+def _rank_one_step(w: RankOneExp, resolution: int | None,
+                   support: float | None = None) -> _RankOneStep:
+    """:func:`as_step` of a ``RankOneExp``, kept as its factor."""
+    if resolution is None:
+        raise StepRequiredError("RankOneExp has no exact step form; pass a resolution")
+    t_cut = _check_length(support, "support") if support is not None else 40.0 / w.lam
+    return _RankOneStep(w.profile(_midpoints(t_cut, resolution)), t_cut, w.value_bound)
+
+
+def _check_length(x: float, name: str) -> float:
+    """``x``, a support length, if it is positive and finite; else a
+    ``ValueError`` naming it."""
+    if not (0 < x < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
+def _midpoints(span: float, resolution) -> np.ndarray:
+    """Midpoints of ``resolution`` equal cells of ``[0, span]``; the
+    resolution must be an integer (not a ``bool``) of at least 1."""
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
+        raise TypeError(f"resolution must be an integer, got {resolution!r}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
+    return (np.arange(resolution) + 0.5) * (span / resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +679,12 @@ def _on_uniform(w, k: int, span: float):
     Each new cell reads the cell of ``w`` under its midpoint (zero beyond
     ``w``'s support), which is exact when the new grid refines ``w``'s.  A
     graphon comes back sparse (its own ``values`` on its own grid, else its
-    :func:`_lift`), a signal as a dense vector.
+    :func:`_lift`), a signal as a dense vector.  A :class:`_RankOneStep` is
+    formed first, so read one only onto a grid that refines it: it then has
+    at most ``k`` cells.
     """
+    if isinstance(w, _RankOneStep):
+        w = w.to_step()
     if w.k == k and w.t == span:
         return w.values
     idx = _cell_index(w, (np.arange(k) + 0.5) * (span / k))

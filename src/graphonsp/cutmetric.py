@@ -31,6 +31,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import core
 from .core import (
@@ -304,59 +305,102 @@ def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutRe
                 w.k, mode == "exact", restarts, seed)
 
 
+class _Stored:
+    """A kernel side held as its stored CSR values ``V``, whose products
+    compute every column on its own."""
+
+    def __init__(self, V):
+        self.V, self.k = V, V.shape[0]
+
+    def matmat(self, Y: np.ndarray) -> np.ndarray:
+        return self.V @ Y
+
+    def row_sums(self) -> np.ndarray:
+        # a sparse matrix sums to an (n, 1) matrix
+        return np.asarray(self.V.sum(axis=1)).ravel()
+
+    def terms(self, rc: np.ndarray) -> np.ndarray:
+        """The witness terms ``V_ij * (r_i * c_j)``, one per stored entry,
+        for the witness widths ``r, c`` per cell, the columns of ``rc``."""
+        (r, c), E = rc.T, self.V.tocoo()
+        return E.data * (r[E.row] * c[E.col])
+
+
+class _Factored:
+    """A rank-one kernel side ``v v'`` held as its factor ``v``: a product
+    costs ``O(k)`` per column and the witness is one term ``(v . r)(v . c)``.
+    ``v'`` is a one-row CSR matrix, so every column's ``v' Y`` is reduced on
+    its own, in index order, whatever the block width."""
+
+    def __init__(self, v: np.ndarray):
+        self.v, self.vt, self.k = v, sp.csr_matrix(v[None, :]), v.size
+
+    def matmat(self, Y: np.ndarray) -> np.ndarray:
+        return self.v[:, None] * (self.vt @ Y)
+
+    def row_sums(self) -> np.ndarray:
+        return self.v * self.v.sum()
+
+    def terms(self, rc: np.ndarray) -> np.ndarray:
+        (vr, vc), = self.vt @ rc
+        return np.array([vr * vc])
+
+
+def _side(w):
+    """The kernel side of a step graphon: its factor if it has one."""
+    return _Factored(w.factor) if isinstance(w, core._RankOneStep) else _Stored(w.values)
+
+
 class _UnionKernel:
     """Difference of two step kernels on their union grid, never formed.
 
-    With union-cell widths ``w`` and, per input, the value matrix ``V`` (CSR)
-    and the index map ``idx`` from union cells to the input's cells (``-1``
-    outside its support), the kernel is ``M = Qa' Va Qa - Qb' Vb Qb``, where
-    ``Q = core._select(idx, k, w)`` for an input of ``k`` cells.  A product
-    ``M @ X`` costs ``O(nnz + U)`` per column.  The union grid runs along
-    ``[0, T]``, so the cells outside a support come last.
+    With union-cell widths ``w`` and, per input, its side (:class:`_Stored`
+    values ``V`` or a :class:`_Factored` ``v v'``) and the index map ``idx``
+    from union cells to the input's cells (``-1`` outside its support), the
+    kernel is ``M = Qa' Va Qa - Qb' Vb Qb``, where ``Q = core._select(idx,
+    k, w)`` for an input of ``k`` cells.  A product ``M @ X`` costs ``O(U)``
+    per column plus each side's own product, ``O(nnz)`` or ``O(k)``.  The
+    union grid runs along ``[0, T]``, so the cells outside a support come
+    last.
     """
 
-    def __init__(self, widths, Va, idx_a, Vb, idx_b):
+    def __init__(self, widths, side_a, idx_a, side_b, idx_b):
         self.widths = widths
         self.sides = []
-        for V, idx in ((Va, idx_a), (Vb, idx_b)):
+        for side, idx in ((side_a, idx_a), (side_b, idx_b)):
             inside = np.nonzero(idx >= 0)[0]
             if inside.size and inside[-1] != inside.size - 1:
                 raise ValueError("union cells outside a support must come last")
-            self.sides.append((V, core._select(idx, V.shape[0], widths), idx[inside]))
+            self.sides.append((side, core._select(idx, side.k, widths), idx[inside]))
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         # each column as widths * (za - zb); a union cell outside a support
         # reads zero, and z - 0.0 == z, so zb is subtracted inside b's only
-        (Va, Qa, head_a), (Vb, Qb, head_b) = self.sides
+        (a, Qa, head_a), (b, Qb, head_b) = self.sides
         z = np.zeros((self.widths.size, X.shape[1]))
         # every index is valid: "clip" lets take write into z unbuffered
-        np.take(Va @ (Qa @ X), head_a, axis=0, out=z[:head_a.size], mode="clip")
-        z[:head_b.size] -= np.take(Vb @ (Qb @ X), head_b, axis=0)
+        np.take(a.matmat(Qa @ X), head_a, axis=0, out=z[:head_a.size], mode="clip")
+        z[:head_b.size] -= np.take(b.matmat(Qb @ X), head_b, axis=0)
         return np.multiply(self.widths[:, None], z, out=z)
 
     def value(self, rows, cols) -> float:
         """Value of the witness ``rows x cols`` in ``O(nnz + U)``: per input,
         ``r = Q @ 1_rows`` and ``c = Q @ 1_cols`` sum the witness widths per
-        input cell, and each stored entry ``v`` at ``(i, j)`` gives the term
-        ``v * (r_i * c_j)``, a's positive and b's negated; that of ``(j, i)``
-        is the same term for ``(cols, rows)``."""
+        input cell, and its side gives the terms, a's positive and b's
+        negated; those of ``(cols, rows)`` are the same terms."""
         sel = np.zeros((self.widths.size, 2))
         sel[rows, 0] = sel[cols, 1] = 1.0
-        terms = []
-        for sign, (V, Q, _) in zip((1.0, -1.0), self.sides):
-            (r, c), E = (Q @ sel).T, V.tocoo()
-            terms.append(sign * E.data * (r[E.row] * c[E.col]))
-        return _evaluate(np.concatenate(terms), 1.0)
+        return _evaluate(np.concatenate([sign * side.terms(Q @ sel) for sign, (side, Q, _)
+                                         in zip((1.0, -1.0), self.sides)]), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # cut distance: one comparison routine on one grid
 # ---------------------------------------------------------------------------
 
-def _degree_sort_perm(values) -> np.ndarray:
-    # stable sort on (-rowsum, index): deterministic tie handling; a sparse
-    # matrix sums to an (n, 1) matrix
-    return np.argsort(-np.asarray(values.sum(axis=1)).ravel(), kind="stable")
+def _degree_sort_perm(row_sums: np.ndarray) -> np.ndarray:
+    # stable sort on (-rowsum, index): deterministic tie handling
+    return np.argsort(-row_sums, kind="stable")
 
 
 def _check_alignment_args(mode: str, iters: int, restarts: int) -> None:
@@ -416,26 +460,28 @@ def _compare(a, b, T: float, mode: str, iters: int, restarts: int,
             # every candidate keeps b in its own frame here: pb is the identity
             return cut_of(va[np.ix_(pa, pa)] - vb, exact)
 
-        shared, exact_cuts, da, db = True, True, va, vb
+        shared, exact_cuts, da, db = True, True, va.sum(axis=1), vb.sum(axis=1)
     else:
         # equal widths keep zero marginal sums exactly zero, as the tie rule needs
         shared = a.k == b.k and a.t == b.t
         widths, ia, ib = ((np.full(a.k, a.cell_width), np.arange(a.k), np.arange(a.k))
                           if shared else core.union_grid(a, b))
         k = widths.size
+        sa, sb = _side(a), _side(b)
 
         def score(pa, pb, exact):
-            kern = _UnionKernel(widths, a.values, _relabel(ia, pa), b.values, _relabel(ib, pb))
+            kern = _UnionKernel(widths, sa, _relabel(ia, pa), sb, _relabel(ib, pb))
             return _cut(kern.matmat, kern.value, k, exact, restarts, seed)
 
-        exact_cuts, da, db = mode == "exact" and k <= EXACT_CUT_LIMIT, a.values, b.values
+        exact_cuts = mode == "exact" and k <= EXACT_CUT_LIMIT
+        da, db = sa.row_sums(), sb.row_sums()
 
-    ident_b = np.arange(db.shape[0])
+    ident_b = np.arange(db.size)
     if lift and mode == "exact":
         tried = [min((("exact", score(p, ident_b, True), p)
                       for p in itertools.permutations(range(k))), key=lambda c: c[1].value)]
     else:
-        maps = [("identity", np.arange(da.shape[0]), ident_b)]
+        maps = [("identity", np.arange(da.size), ident_b)]
         if mode != "exact":
             # each input's own cells are equal-measure, so sorting them by row
             # sum is a valid relabeling even though the union grid is nonuniform
@@ -552,8 +598,8 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
     _check_alignment_args(mode, iters, restarts)
     s1, _ = stretch(_to_spec(w1))
     s2, _ = stretch(_to_spec(w2))
-    a = core.as_step(s1, resolution=resolution)
-    b = core.as_step(s2, resolution=resolution)
+    a, b = (core._rank_one_step(s, resolution) if isinstance(s, RankOneExp) else s
+            for s in (s1, s2))
     return _compare(a, b, max(a.t, b.t), mode, iters, restarts, seed)
 
 
@@ -579,6 +625,7 @@ def _relabel(idx: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def _to_spec(w) -> GraphonSpec:
-    if isinstance(w, (StepGraphon, RankOneExp)):
+    # a _RankOneStep is a restriction of a RankOneExp, from extract_sparse_subsequence
+    if isinstance(w, (StepGraphon, RankOneExp, core._RankOneStep)):
         return w
     raise TypeError(f"not a graphon spec: {type(w).__name__}")

@@ -277,6 +277,8 @@ def extract_sparse_subsequence(grid, w: GraphonSpec, resolution: int = 256,
     ``1/m`` of ``||W_m||_1 / t_m^2``, and the heuristic stretched cut distance
     between the sample's canonical graphon and the restriction ``W_m`` is at
     most ``1/m``.  Rows with no qualifying ``n`` are reported as gaps.
+    ``W_m`` is :func:`core.restrict` of ``W``, with a ``RankOneExp`` kept as
+    its midpoint factor, so no ``resolution x resolution`` array is formed.
     """
     if not grid or not grid[0]:
         raise ScheduleError("empty sampling grid")
@@ -286,7 +288,7 @@ def extract_sparse_subsequence(grid, w: GraphonSpec, resolution: int = 256,
         tol = 1.0 / m
         t_m = row[0].points.t_m
         target = core.l1_restricted(w, t_m) / t_m**2
-        wm = core.restrict(w, t_m, resolution=resolution)
+        wm = core._restrict(w, t_m, resolution)
         found = False
         for cell in row:
             dens = pair_density(cell.graph)

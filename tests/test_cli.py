@@ -297,8 +297,8 @@ class TestMainEntry:
         assert json.loads(lines[0]) == {"error": "ValueError", "message": message}
 
     @pytest.mark.parametrize("target, config, message", [
-        ("rank_one_exp", '{"resolution": 0}', "resolution must be at least 1"),
-        ("rank_one_exp", '{"resolution": -3}', "resolution must be at least 1"),
+        ("rank_one_exp", '{"resolution": 0}', "resolution must be at least 1, got 0"),
+        ("rank_one_exp", '{"resolution": -3}', "resolution must be at least 1, got -3"),
         ("celebrity", '{"cut_restarts": 0}', "restarts must be at least 1, got 0"),
         ("celebrity", '{"cut_restarts": -1}', "restarts must be at least 1, got -1"),
     ], ids=["resolution-zero", "resolution-negative", "restarts-zero",

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -664,3 +665,49 @@ class TestAsStep:
             gsp.as_step(gsp.RankOneExp(1.0, 1.0))
         s = gsp.as_step(gsp.RankOneExp(1.0, 1.0), resolution=256, support=20.0)
         assert s.l1_norm == pytest.approx(1.0, abs=1e-3)
+
+
+W_EXP = gsp.RankOneExp(1.0, 1.0)
+
+
+class TestDiscretizationArguments:
+    """A midpoint sample takes an integer resolution of at least 1, and a
+    support length must be positive and finite."""
+
+    @staticmethod
+    def samples(resolution):
+        """Every public way to midpoint-sample ``RankOneExp(1, 1)``."""
+        return [lambda: gsp.restrict(W_EXP, 4.0, resolution=resolution),
+                lambda: gsp.as_step(W_EXP, resolution=resolution),
+                lambda: gsp.stretched_cut_distance(gsp.ConstantBox(0.5, 1.0), W_EXP,
+                                                   resolution=resolution)]
+
+    @pytest.mark.parametrize("resolution", [2.5, 4.0, True])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # 2.5 gave 3 cells spaced t_m / 2.5 apart, and True one cell
+        for sample in self.samples(resolution):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"resolution must be an integer, got {resolution!r}")):
+                sample()
+        int_sample, numpy_sample = (gsp.restrict(W_EXP, 4.0, resolution=r)
+                                    for r in (4, np.int64(4)))
+        assert (numpy_sample.values != int_sample.values).nnz == 0
+
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_resolution_below_one_is_named(self, resolution):
+        for sample in self.samples(resolution):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"resolution must be at least 1, got {resolution}")):
+                sample()
+
+    @pytest.mark.parametrize("make", [
+        lambda: gsp.restrict(W_EXP, math.inf, resolution=4),
+        lambda: gsp.as_step(W_EXP, resolution=4, support=math.inf),
+        lambda: gsp.restrict(gsp.ConstantBox(0.5, 1.0), math.inf),
+        lambda: gsp.unstretch_step(gsp.ConstantBox(0.5, 1.0), gsp.StretchTag(1.0, math.inf)),
+    ], ids=["restrict-rank-one", "as-step-support", "restrict-step", "with-support"])
+    def test_non_finite_support_rejected(self, make):
+        # the first two gave all-zero graphons, the third an OverflowError
+        # from Fraction(inf), the last a graphon on [0, inf]^2
+        with pytest.raises(ValueError, match="must be positive and finite, got inf"):
+            make()

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import graphonsp as gsp
 from graphonsp import core, cutmetric
 from graphonsp.core import union_grid
-from graphonsp.cutmetric import _degree_sort_perm, _relabel, _UnionKernel
+from graphonsp.cutmetric import _degree_sort_perm, _relabel, _Stored, _UnionKernel
 from graphonsp.errors import ResolutionTooLargeError, SupportMismatchError
 from graphonsp.rng import substream
 
@@ -498,7 +498,7 @@ class TestStretchedCutDistance:
         res = gsp.stretched_cut_distance(w, gsp.CelebrityLimit(),
                                          mode="degree_sort", restarts=8)
         a, _ = gsp.stretch(w)
-        a = permuted(a, _degree_sort_perm(a.values))
+        a = permuted(a, _degree_sort_perm(_Stored(a.values).row_sums()))
         b = gsp.as_step(gsp.CelebrityLimit())
         rows, cols = res.cut.witness_rows, res.cut.witness_cols
         want = sorted_cut_value(dense_union_kernel(a, b), rows, cols)
@@ -708,8 +708,8 @@ class TestUnionKernel:
         widths, ia, ib = union_grid(a, b)
         assert np.any(ia < 0) and not np.any(ib < 0)
         X = substream(seed, 0x0B).standard_normal((widths.size, 5))
-        Va, Vb = sp.csr_matrix(a.values), sp.csr_matrix(b.values)
-        pa, pb = _degree_sort_perm(a.values), _degree_sort_perm(b.values)
+        Va, Vb = _Stored(sp.csr_matrix(a.values)), _Stored(sp.csr_matrix(b.values))
+        pa, pb = _degree_sort_perm(Va.row_sums()), _degree_sort_perm(Vb.row_sums())
         rng = substream(seed, 0x5E1)
         for kernel, relabeled in (
                 (_UnionKernel(widths, Va, ia, Vb, ib), (a, b)),
@@ -729,7 +729,7 @@ class TestUnionKernel:
 
     def test_cells_outside_a_support_come_last(self):
         # matmat reads each input on the union cells before its first -1
-        V = sp.csr_matrix(np.ones((2, 2)))
+        V = _Stored(sp.csr_matrix(np.ones((2, 2))))
         with pytest.raises(ValueError, match="must come last"):
             _UnionKernel(np.full(3, 0.5), V, np.array([0, -1, 1]), V, np.array([0, 1, 1]))
 
@@ -876,3 +876,168 @@ class TestSplitHeuristic:
             child.join()
             pytest.fail("the forked child's cut did not finish within 60 s")
         assert child.exitcode == 0
+
+    def test_rank_one_kernel(self, monkeypatch):
+        # the factored side's products reduce each column on its own too
+        a = gsp.canonical_graphon(gsp.sample_graph(gsp.RankOneExp(1, 1), 8.0, 600, 1).graph)
+        out = self.results(monkeypatch, lambda: gsp.stretched_cut_distance(
+            a, gsp.RankOneExp(1, 1), resolution=256, restarts=5, seed=3))
+        assert [n for _, n in out] == [2, 4, 6]
+        assert out[0][0] == out[1][0] == out[2][0]
+
+
+def formed(w):
+    """``w``, with a factored rank-one kernel formed into its StepGraphon."""
+    return w.to_step() if isinstance(w, core._RankOneStep) else w
+
+
+class TestFactoredKernel:
+    """A ``RankOneExp``, and ``extract_sparse_subsequence``'s restriction
+    ``W_m`` of one, is compared through its midpoint factor.  The reference
+    forms that factor into the CSR values ``restrict`` and ``as_step``
+    return (bit for bit the products ``v_i * v_j``), which is how every
+    comparison read ``W`` before; both must make the same choices."""
+
+    @staticmethod
+    def comparisons(monkeypatch, run, csr: bool):
+        """``run()``'s result and, per comparison, its two inputs, its
+        degree-sort permutations, its grid, its candidates ``(name, cut)``
+        and its winner; with ``csr``, every factor is formed where it is
+        built."""
+        calls = []
+        compare, perm, log = (cutmetric._compare, cutmetric._degree_sort_perm,
+                              cutmetric._log_candidates)
+
+        def recorded_compare(a, b, *args):
+            calls.append({"inputs": (a, b), "perms": []})
+            return compare(a, b, *args)
+
+        def recorded_perm(row_sums):
+            calls[-1]["perms"].append(perm(row_sums))
+            return calls[-1]["perms"][-1]
+
+        def recorded_log(grid, cells, candidates, winner):
+            calls[-1].update(grid=grid, candidates=[(name, cut) for name, cut, _ in candidates],
+                             winner=next(name for name, cut, _ in candidates if cut is winner))
+            log(grid, cells, candidates, winner)
+
+        with monkeypatch.context() as m:
+            if csr:
+                for name in ("_restrict", "_rank_one_step"):
+                    build = getattr(core, name)
+                    m.setattr(core, name, lambda *args, build=build: formed(build(*args)))
+            m.setattr(cutmetric, "_compare", recorded_compare)
+            m.setattr(cutmetric, "_degree_sort_perm", recorded_perm)
+            m.setattr(cutmetric, "_log_candidates", recorded_log)
+            return run(), calls
+
+    @staticmethod
+    def value_bound(fact, ref, rows, cols) -> float:
+        """Bound on the distance between the two paths' values of the
+        witness ``rows x cols``, for the inputs ``fact`` (the graph ``a``
+        and the factored ``W``) and ``ref`` (``a`` and ``W`` formed).
+
+        The union grids have the same cells (asserted), with widths ``w``
+        (reference) and ``w'`` (factored); ``W_m``'s stretch reads its l1
+        norm from the factor, ``h^2 (sum v)^2``, not from the stored values,
+        so its support, and the widths, may differ in the last bits.  With
+        ``top`` bounding both kernels' values, which are nonnegative, every
+        ``|A - W| <= top`` and ``mass = 2 top |S|_w |T|_w`` bounds the sum of
+        ``(|A| + W) w_u w_v`` over the witness.  With ``u = eps / 2``:
+        the reference sums ``N`` terms (one per stored entry of ``A`` and
+        ``W``), each ``v * (r_i * c_j)`` with ``r_i`` and ``c_j`` sums of at
+        most ``U`` widths and ``v`` the rounded product ``v_i v_j``, so
+        within ``(2U + 2) u`` of its real value, and the sum adds ``(N - 1)
+        u mass``.  The factored path sums ``A``'s terms and one term ``(v .
+        r)(v . c)``, where ``v . r`` sums ``k`` products of ``r_i`` (within
+        ``(U - 1) u``) and ``v_i``, so lies within ``(U + k) u`` of its real
+        value, and the term within ``(2U + 2k + 1) u``; the sum adds
+        ``nnz(A) u mass``.  The real values at ``w`` and at ``w'`` differ by
+        at most ``top * sum |w'_u w'_v - w_u w_v| <= top * sum|w' - w| *
+        (sum w' + sum w)``.  Twice each rounding term, in units of ``eps``,
+        covers the higher-order terms.
+        """
+        (a, wf), (a_ref, wr) = fact, ref
+        assert a.t == a_ref.t and wf.k == wr.k
+        (wd_f, ia_f, ib_f), (wd_r, ia_r, ib_r) = union_grid(a, wf), union_grid(a_ref, wr)
+        assert np.array_equal(ia_f, ia_r) and np.array_equal(ib_f, ib_r)
+        U, k, nnz = wd_f.size, wf.k, a.values.nnz
+        top = max(a.values.max(), wr.values.max())
+
+        def mass(w):
+            return 2 * top * w[list(rows)].sum() * w[list(cols)].sum()
+
+        eps = np.finfo(float).eps
+        return ((2 * U + nnz + wr.values.nnz + 4) * eps * mass(wd_r)
+                + (2 * U + 2 * k + nnz + 4) * eps * mass(wd_f)
+                + top * np.abs(wd_f - wd_r).sum() * (wd_f.sum() + wd_r.sum()))
+
+    def assert_same_choices(self, fact, ref):
+        assert len(fact) == len(ref) > 0
+        for f, r in zip(fact, ref):
+            (a, wf), (_, wr) = f["inputs"], r["inputs"]
+            assert isinstance(wf, core._RankOneStep) and isinstance(wr, gsp.StepGraphon)
+            assert f["grid"] == r["grid"] == "union" and f["winner"] == r["winner"]
+            assert len(f["perms"]) == len(r["perms"]) == 2
+            assert all(np.array_equal(p, q) for p, q in zip(f["perms"], r["perms"]))
+            for (name, cf), (name_r, cr) in zip(f["candidates"], r["candidates"]):
+                assert (name, cf.witness_rows, cf.witness_cols, cf.products,
+                        cf.capped_runs) == (name_r, cr.witness_rows, cr.witness_cols,
+                                            cr.products, cr.capped_runs)
+                assert abs(cf.value - cr.value) <= self.value_bound(
+                    (a, wf), (a, wr), cf.witness_rows, cf.witness_cols)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        # the sample-r1e workload's grid
+        return gsp.sample_double_sequence(gsp.RankOneExp(1, 1), [4, 8, 16],
+                                          [1000, 2000, 4000], 12345)
+
+    def test_subsequence_rows_match_the_csr_path(self, monkeypatch, grid):
+        W = gsp.RankOneExp(1, 1)
+        (fact, fact_calls), (ref, ref_calls) = (self.comparisons(
+            monkeypatch, lambda: gsp.extract_sparse_subsequence(grid, W), csr)
+            for csr in (False, True))
+        # the reference reproduces the distances of the CSR-only code
+        assert [row[5] for row in ref.rows] == [0.038348495841709906, 0.05987661581649828,
+                                                0.08634620253503411]
+        assert len(fact_calls) == 3 and fact.phi == ref.phi and fact.gaps == ref.gaps
+        assert [row[:5] for row in fact.rows] == [row[:5] for row in ref.rows]
+        self.assert_same_choices(fact_calls, ref_calls)
+
+    def test_graph_against_w_matches_the_csr_path(self, monkeypatch, grid):
+        G = grid[1][1].canonical()
+        (fact, fact_calls), (ref, ref_calls) = (self.comparisons(
+            monkeypatch, lambda: gsp.stretched_cut_distance(
+                G, gsp.RankOneExp(1, 1), resolution=256, restarts=16, seed=5), csr)
+            for csr in (False, True))
+        assert ref.distance == 0.051353324943494094
+        self.assert_same_choices(fact_calls, ref_calls)
+
+    def test_lift_forms_the_factor(self, monkeypatch):
+        # stretched, both kernels have 4 cells, on [0, 40] and [0, 80]: the
+        # lift onto 8 cells reads the formed values, so nothing moves
+        (fact, fact_calls), (ref, _) = (self.comparisons(
+            monkeypatch, lambda: gsp.stretched_cut_distance(
+                gsp.RankOneExp(1, 1), gsp.RankOneExp(0.5, 1), resolution=4), csr)
+            for csr in (False, True))
+        assert all(isinstance(w, core._RankOneStep) for w in fact_calls[0]["inputs"])
+        assert fact_calls[0]["grid"] == "uniform" and fact.exact
+        assert fact == ref and fact.cut.products == ref.cut.products
+
+    def test_memory_at_resolution_4096_is_linear(self):
+        # formed, W would store 4096^2 values (672 MiB traced).  The
+        # heuristic holds a few U x 2r float blocks (U <= n + resolution
+        # union cells, r = 16 restarts), and a witness value a few arrays
+        # over the graph's 2|E| stored entries
+        g, _ = gsp.sample_graph(gsp.RankOneExp(1, 1), 8.0, 4000, 7).graph.drop_isolated()
+        G = gsp.canonical_graphon(g)
+        tracemalloc.start()
+        try:
+            res = gsp.stretched_cut_distance(G, gsp.RankOneExp(1, 1), resolution=4096,
+                                             restarts=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < res.distance < 1.0
+        assert peak < 8 * (8 * 2 * 16 * (g.n + 4096) + 32 * g.edge_count)
