@@ -131,14 +131,11 @@ class Graph:
     def adjacency(self) -> sp.csr_matrix:
         """Adjacency matrix in canonical CSR form (sorted indices, no duplicates)."""
         n, e = self.n, self.edge_array
-        # one sort of the keys i * n + j of both orientations orders the
-        # entries by row, then column; row i holds degree(i) of them.  Both
-        # the sort and the reduction to column indices work in place.
-        key = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
-        key.sort()
-        np.remainder(key, n, out=key)
-        indptr = np.concatenate([[0], np.cumsum(self.degrees())])
-        return sp.csr_matrix((np.ones(key.size), key, indptr), shape=(n, n))
+        # the canonical rows (i, j), i < j, are the upper triangle in CSR
+        # order; adding its transpose, a counting sort, takes O(n + |E|)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(e[:, 0], minlength=n))])
+        upper = sp.csr_matrix((np.ones(e.shape[0]), e[:, 1], indptr), shape=(n, n))
+        return upper + upper.T
 
     def induced_subgraph(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
@@ -222,25 +219,32 @@ class _StepBase:
         # sparse == would warn (it is true on every implicit zero); != is not
         if (values != values.T).nnz:
             raise ValueError("values must be symmetric")
-        _check_length(t, "support length t")
-        self.k = values.shape[0]
-        self.t = float(t)
-        self.values = values
+        self._set(values, _check_length(t, "support length t"), value_bound)
+        self._check_bound()
+
+    def _set(self, values: sp.csr_matrix, t: float, value_bound: float) -> None:
+        self.k, self.t, self.values = values.shape[0], float(t), values
         for a in (values.data, values.indices, values.indptr):
             a.setflags(write=False)
         self.value_bound = float(value_bound)
-        self._check_bound()
+
+    @classmethod
+    def _trusted(cls, values: sp.csr_matrix, t: float, value_bound: float):
+        """An instance on ``values`` as they are, with none of the
+        constructor's checks: the caller guarantees a canonical float64 CSR
+        matrix, symmetric and within the class's sign and ``value_bound``,
+        and a valid ``t``, and gives it up (its arrays are made read-only)."""
+        out = object.__new__(cls)
+        out._set(values, t, value_bound)
+        return out
 
     def _check_bound(self):
         raise NotImplementedError
 
     def _with_support(self, t: float):
         """The same validated, read-only values on ``[0, t]^2``, not re-checked."""
-        _check_length(t, "support length t")
-        out = object.__new__(type(self))
-        out.k, out.t = self.k, float(t)
-        out.values, out.value_bound = self.values, self.value_bound
-        return out
+        return self._trusted(self.values, _check_length(t, "support length t"),
+                             self.value_bound)
 
     @property
     def cell_width(self) -> float:
@@ -444,8 +448,7 @@ class StepSignal:
         values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty vector")
-        if not (t > 0):
-            raise ValueError("support length t must be positive")
+        _check_length(t, "support length t")
         if bound is None:
             bound = float(np.abs(values).max())
         elif np.abs(values).max() > bound:
@@ -543,7 +546,8 @@ def canonical_graphon(g: Graph) -> StepGraphon:
     """
     if g.n == 0:
         raise EmptyGraphError("canonical graphon of the empty graph is undefined")
-    return StepGraphon(g.adjacency(), 1.0, 1.0)
+    # a fresh adjacency is canonical, symmetric and 0/1: nothing to check
+    return StepGraphon._trusted(g.adjacency(), 1.0, 1.0)
 
 
 def normalized_graphon(g: Graph) -> StepGraphon:
@@ -556,8 +560,9 @@ def normalized_graphon(g: Graph) -> StepGraphon:
         raise IsolatedVertexError(f"vertex {int(bad[0])} is isolated")
     values = g.adjacency()
     rows = np.repeat(np.arange(g.n), np.diff(values.indptr))
+    # symmetric, as the product commutes, and in (0, 1]
     values.data = 1.0 / (d[rows] * d[values.indices])
-    return StepGraphon(values, 1.0, 1.0)
+    return StepGraphon._trusted(values, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +633,19 @@ def _check_length(x: float, name: str) -> float:
 
 def _midpoints(span: float, resolution) -> np.ndarray:
     """Midpoints of ``resolution`` equal cells of ``[0, span]``; the
-    resolution must be an integer (not a ``bool``) of at least 1."""
+    resolution must pass :func:`_check_resolution`."""
+    resolution = _check_resolution(resolution)
+    return (np.arange(resolution) + 0.5) * (span / resolution)
+
+
+def _check_resolution(resolution):
+    """``resolution``, a cell count, if it is an integer (not a ``bool``) of
+    at least 1; else a ``TypeError`` or ``ValueError`` naming it."""
     if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
         raise TypeError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 1:
         raise ValueError(f"resolution must be at least 1, got {resolution!r}")
-    return (np.arange(resolution) + 0.5) * (span / resolution)
+    return resolution
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +756,15 @@ def step_difference(a: _StepBase, b: _StepBase,
 
     Exact when the two grids share a uniform refinement (see
     :func:`_refinement`); otherwise midpoint-resampled at ``resolution``
-    cells, which must then be supplied.
+    cells, which must then be supplied, an integer of at least 1.
     """
     T = max(a.t, b.t)
-    k = _refinement(T, a, b) or resolution
+    k = _refinement(T, a, b)
     if k is None:
-        raise SupportMismatchError(
-            "grids share no uniform refinement; pass a resolution to resample")
+        if resolution is None:
+            raise SupportMismatchError(
+                "grids share no uniform refinement; pass a resolution to resample")
+        k = _check_resolution(resolution)
     bound = a.value_bound + b.value_bound
     return SignedStepGraphon(_on_uniform(a, k, T) - _on_uniform(b, k, T), T,
                              bound if bound > 0 else 1.0)

@@ -12,8 +12,12 @@ restarts are split into one contiguous range per CPU the process may run
 on, the first on the calling thread and the rest on the package's one
 thread pool (``_pool``, one worker per CPU, also used by :func:`_map`);
 the first column of largest value, in the original order, wins, so the
-result is bit-identical for any number of CPUs.  The lift's kernels (at
-most ``EXACT_CUT_LIMIT`` cells, dense BLAS products) stay one serial block.
+result is bit-identical for any number of CPUs.  There, too, each distinct
+column of a product block is computed once and copied to its repeats
+(:func:`_distinct_columns`): runs that reach the same selection ask for
+the same column, and only the count of computed columns changes.  The
+lift's kernels (at most ``EXACT_CUT_LIMIT`` cells, dense BLAS products)
+stay one serial block, with every column computed.
 
 Both cut distances end in one comparison routine, ``_compare``: the grid
 fixes only how a candidate relabeling's difference kernel is cut by the one
@@ -60,8 +64,10 @@ class CutResult:
     """Cut-norm value with the rectangle (cell subsets) attaining it.
 
     ``capped_runs`` counts the heuristic runs still moving when the
-    iteration cap stopped them and ``products`` the kernel column-products
-    the heuristic used (both always 0 in exact mode).
+    iteration cap stopped them, ``products`` the kernel column-products
+    the heuristic asked for and ``computed`` those the kernel computed,
+    each distinct column of a graph-sized product block once (all three
+    always 0 in exact mode).
     """
 
     value: float
@@ -70,6 +76,7 @@ class CutResult:
     exact: bool
     capped_runs: int = field(default=0, compare=False)
     products: int = field(default=0, compare=False)
+    computed: int = field(default=0, compare=False)
 
     def recompute(self, w) -> float:
         """Re-evaluate the bilinear objective at the stored witnesses."""
@@ -247,6 +254,38 @@ def _split_heuristic(matmat, t0: np.ndarray, ranges: int) -> list:
     return [_bilinear_max_heuristic(matmat, blocks[0])] + [f.result() for f in rest]
 
 
+def _distinct_columns(matmat, k: int, computed: list):
+    """``matmat`` for ``k``-row blocks, computing each distinct column of a
+    block once and copying it to its repeats; the number of columns it
+    computes per call is appended to ``computed``.
+
+    A column's key is its dot product with fixed weights, summed by
+    ``einsum`` (no BLAS call, so no BLAS threads on top of the pool's).
+    Keys only propose repeats: the block rebuilt from one column per key
+    must equal the block bit for bit, or the block is computed whole.
+    ``matmat`` must compute every column on its own, so the result is
+    bit-identical to ``matmat(X)``.
+    """
+    weights = np.random.default_rng(k).random(k)
+
+    def product(X: np.ndarray) -> np.ndarray:
+        key = np.einsum("ij,i->j", X, weights)
+        ordered = np.sort(key)
+        # most blocks repeat no key, which one sort shows for less than np.unique
+        if (ordered[1:] == ordered[:-1]).any():
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            # np.take gathers columns several times faster than X[:, idx]
+            distinct = np.take(X, first, axis=1)
+            if np.array_equal(np.take(distinct, inverse, axis=1).view(np.uint64),
+                              X.view(np.uint64)):
+                computed.append(first.size)  # list.append is atomic: ranges share it
+                return np.take(matmat(distinct), inverse, axis=1)
+        computed.append(X.shape[1])
+        return matmat(X)
+
+    return product
+
+
 def _evaluate(terms: np.ndarray, area: float) -> float:
     """Canonical witness value: the terms summed in sorted order, times ``area``.
 
@@ -267,25 +306,32 @@ def _cut(matmat, value, k: int, exact: bool, restarts: int, seed: int) -> CutRes
     heuristic mode runs on ``matmat`` from ``restarts`` random starts, drawn
     as one ``k x restarts`` block from the ``0xC07`` substream of ``seed``.
     Above ``EXACT_CUT_LIMIT`` cells the kernel is graph-sized, its products
-    are CSR products that compute every column on its own, and the block is
-    split into one range per CPU, at most one per start
+    are CSR products that compute every column on its own, each distinct
+    column of a block is computed once (:func:`_distinct_columns`), and the
+    block is split into one range per CPU, at most one per start
     (:func:`_split_heuristic`).  The first range of largest value holds the
     first column of largest value, which wins, and the capped runs and
     products are summed, so the result is the same for any number of CPUs.
     The value is re-evaluated at the witness sets.
     """
-    capped = products = 0
+    capped = products = computed = 0
     if exact:
         rows, cols = _bilinear_max_exact(matmat(np.eye(k)))
     else:
         if restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {restarts}")
         t0 = (substream(seed, 0xC07).random((restarts, k)) < 0.5).T
-        runs = _split_heuristic(matmat, t0, min(_cpus(), restarts)
-                                if k > EXACT_CUT_LIMIT else 1)
+        if k > EXACT_CUT_LIMIT:
+            counts = []
+            runs = _split_heuristic(_distinct_columns(matmat, k, counts), t0,
+                                    min(_cpus(), restarts))
+        else:
+            counts, runs = None, [_bilinear_max_heuristic(matmat, t0)]
         _, rows, cols, _, _ = max(runs, key=lambda run: run[0])
         capped, products = sum(run[3] for run in runs), sum(run[4] for run in runs)
-    return CutResult(value(rows, cols), tuple(rows), tuple(cols), exact, capped, products)
+        computed = products if counts is None else sum(counts)
+    return CutResult(value(rows, cols), tuple(rows), tuple(cols), exact, capped,
+                     products, computed)
 
 
 def cut_norm(w, mode: str = "exact", restarts: int = 64, seed: int = 0) -> CutResult:
@@ -606,17 +652,18 @@ def stretched_cut_distance(w1: GraphonSpec, w2: GraphonSpec, mode: str = "degree
 def _log_candidates(grid: str, cells: int, candidates, winner: CutResult) -> None:
     """One DEBUG record of ``(name, cut, permutation)`` candidates: the grid,
     every candidate's cut value, the winner, the heuristic runs the
-    iteration cap stopped and the kernel column-products the heuristic
-    used."""
+    iteration cap stopped, the kernel column-products the heuristic asked
+    for and the distinct ones the kernel computed."""
     log = logging.getLogger(__name__)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("cut distance on the %s grid of %d cells: %s; %s won; "
                   "%d heuristic runs stopped at the iteration cap; "
-                  "%d kernel column-products", grid, cells,
+                  "%d kernel column-products, %d distinct ones computed", grid, cells,
                   ", ".join(f"{name} {cut.value!r}" for name, cut, _ in candidates),
                   next(name for name, cut, _ in candidates if cut is winner),
                   sum(cut.capped_runs for _, cut, _ in candidates),
-                  sum(cut.products for _, cut, _ in candidates))
+                  sum(cut.products for _, cut, _ in candidates),
+                  sum(cut.computed for _, cut, _ in candidates))
 
 
 def _relabel(idx: np.ndarray, perm: np.ndarray) -> np.ndarray:

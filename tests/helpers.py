@@ -328,3 +328,19 @@ def reference_read_edge_list(path):
             raise ValueError(f"edge {(i, j)} out of range")
         edges.add((min(i, j), max(i, j)))
     return n, sorted(edges)
+
+
+def reference_adjacency(n, pairs):
+    """Adjacency oracle in canonical CSR arrays ``(indptr, indices, data)``,
+    from neighbour sets: each vertex's distinct neighbours, ascending, one
+    row per vertex; every entry is 1.0."""
+    neighbours = [set() for _ in range(n)]
+    for i, j in pairs:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    rows = [sorted(s) for s in neighbours]
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    indices = [j for row in rows for j in row]
+    return np.array(indptr), np.array(indices, dtype=np.int64), np.ones(len(indices))

@@ -117,6 +117,27 @@ class TestCanonicalGraphon:
         assert np.array_equal(w.values.toarray(), g.adjacency().toarray())
 
 
+@pytest.mark.parametrize("g", [gsp.Graph(1, []), gsp.Graph(2, [(0, 1)]), k3(),
+                               gsp.Graph(6, [(0, 5), (1, 4), (2, 3), (0, 3), (1, 2)])])
+def test_embeddings_match_the_checked_constructor(g):
+    # the embeddings skip the constructor's checks: what they store must be
+    # what the checked StepGraphon stores, array for array, and read-only
+    d = g.degrees()
+    A = g.adjacency().toarray()
+    cases = [(gsp.canonical_graphon, A)]
+    if d.all():
+        cases.append((gsp.normalized_graphon, A / np.outer(d, d)))
+    for embed, dense in cases:
+        w, want = embed(g), gsp.StepGraphon(dense, 1.0, 1.0)
+        assert type(w) is gsp.StepGraphon
+        assert (w.k, w.t, w.value_bound) == (want.k, want.t, want.value_bound)
+        for name in ("data", "indices", "indptr"):
+            got = getattr(w.values, name)
+            assert got.dtype == getattr(want.values, name).dtype
+            assert np.array_equal(got, getattr(want.values, name))
+            assert not got.flags.writeable
+
+
 class TestNormalizedGraphon:
     def test_triangle_cells(self):
         w = gsp.normalized_graphon(k3())
@@ -411,6 +432,20 @@ class TestStepSignal:
         assert f.eval(1.5) == 2.0
         assert f.eval(2.5) == 0.0
 
+    @pytest.mark.parametrize("make", [
+        lambda: gsp.StepSignal(np.ones(3), math.inf),
+        lambda: gsp.StepSignal(np.ones(3), math.nan),
+        lambda: gsp.StepSignal(np.ones(3), 0.0),
+        lambda: gsp.StepSignal(np.ones(3), -1.0),
+        lambda: gsp.stretch_signal(gsp.StepSignal(np.ones(3), 1.0), 1e-320),
+        lambda: gsp.stretch_signal(gsp.StepSignal(np.ones(3), 1.0), math.inf),
+    ], ids=["inf", "nan", "zero", "negative", "stretched-to-inf", "stretched-to-zero"])
+    def test_support_must_be_positive_and_finite(self, make):
+        # as for step graphons; an infinite support built a signal of
+        # infinite cell width
+        with pytest.raises(ValueError, match="support length t must be positive and finite"):
+            make()
+
 
 _CYCLE5_CHORD = gsp.Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
 
@@ -676,11 +711,16 @@ class TestDiscretizationArguments:
 
     @staticmethod
     def samples(resolution):
-        """Every public way to midpoint-sample ``RankOneExp(1, 1)``."""
+        """Every public way to midpoint-sample at ``resolution`` cells:
+        ``RankOneExp(1, 1)``, and the difference of two step grids with no
+        common refinement."""
         return [lambda: gsp.restrict(W_EXP, 4.0, resolution=resolution),
                 lambda: gsp.as_step(W_EXP, resolution=resolution),
                 lambda: gsp.stretched_cut_distance(gsp.ConstantBox(0.5, 1.0), W_EXP,
-                                                   resolution=resolution)]
+                                                   resolution=resolution),
+                lambda: gsp.step_difference(gsp.StepGraphon(np.full((3, 3), 0.5), 1.0, 1.0),
+                                            gsp.StepGraphon(np.full((2, 2), 0.2), 1.3, 1.0),
+                                            resolution=resolution)]
 
     @pytest.mark.parametrize("resolution", [2.5, 4.0, True])
     def test_resolution_must_be_an_integer(self, resolution):

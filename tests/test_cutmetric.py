@@ -591,29 +591,31 @@ class TestStretchedDistanceLog:
         monkeypatch.setattr(_UnionKernel, "matmat",
                             lambda kern, X: columns.append(X.shape[1]) or matmat(kern, X))
         w = gsp.canonical_graphon(scrambled_dense_core(400))
-        res, (grid, cells, values, winner, capped, products) = self.record(
+        res, (grid, cells, values, winner, capped, products, computed) = self.record(
             caplog, w, gsp.CelebrityLimit(), restarts=8)
         U = union_grid(gsp.stretch(w)[0], gsp.as_step(gsp.CelebrityLimit()))[0].size
         assert (grid, cells) == ("union", U)
         assert values.startswith("identity ") and ", degree_sort " in values
         assert winner == "degree_sort" and f"degree_sort {res.distance!r}" in values
         assert capped == 0
-        # both candidates' products; each takes at least 3 per restart
-        assert products == sum(columns) >= 2 * 3 * 8
+        # both candidates' products; each asks for at least 3 per restart,
+        # and only the distinct columns of a block reach the kernel
+        assert products >= 2 * 3 * 8 and 0 < computed == sum(columns) <= products
         assert 3 * 8 <= res.cut.products < products
+        assert res.cut.computed <= res.cut.products
 
     def test_uniform_path_names_candidates_and_winner(self, caplog):
         # equal edge counts: one stretched support
         rng = np.random.default_rng(4)
         a, b = (gsp.StepGraphon(two_block_adjacency(rng, 8, 10, 3), 1.0, 1.0)
                 for _ in range(2))
-        res, (grid, cells, values, winner, capped, products) = self.record(
+        res, (grid, cells, values, winner, capped, products, computed) = self.record(
             caplog, a, b, mode="local_search", seed=3)
         assert (grid, cells) == ("uniform", 8)
         names = [item.split(" ")[0] for item in values.split(", ")]
         assert names == ["identity", "degree_sort", "local_search"]
         assert winner in names and f"{winner} {res.distance!r}" in values
-        assert capped == 0 and products == 0  # exact cut norms only
+        assert capped == products == computed == 0  # exact cut norms only
 
 
 class TestGridRule:
@@ -806,14 +808,15 @@ class TestHeuristicStopRule:
         res = gsp.stretched_cut_distance(w, gsp.CelebrityLimit(), restarts=64)
         (rec,) = [r for r in caplog.records
                   if r.getMessage().startswith("cut distance on the")]
-        assert rec.args[0] == "union" and rec.args[-1] <= 720
+        assert rec.args[0] == "union" and rec.args[5] <= 720
         assert res.distance <= 2.0 / (int(np.floor(3000 ** 0.75)) - 1)
 
 
 class TestSplitHeuristic:
     """Above 22 cells the heuristic's starts are split into one contiguous
-    range per CPU; every product column is computed on its own, so the
-    result must not depend on the number of ranges."""
+    range per CPU, and each distinct column of a product block is computed
+    once; every product column is computed on its own, so the result must
+    depend on neither the number of ranges nor the repeats."""
 
     @staticmethod
     def results(monkeypatch, cut):
@@ -832,11 +835,15 @@ class TestSplitHeuristic:
                          res.capped_runs, res.products), len(ranges)))
         return out
 
+    @staticmethod
+    def two_samples():
+        return [gsp.canonical_graphon(gsp.sample_graph(gsp.ConstantBox(0.05, 1), 1, 600,
+                                                       seed).graph)
+                for seed in (1, 2)]
+
     @pytest.mark.parametrize("restarts", [5, 16])
     def test_union_kernel_of_two_samples(self, monkeypatch, restarts):
-        a, b = (gsp.canonical_graphon(gsp.sample_graph(gsp.ConstantBox(0.05, 1), 1, 600,
-                                                       seed).graph)
-                for seed in (1, 2))
+        a, b = self.two_samples()
         out = self.results(monkeypatch, lambda: gsp.stretched_cut_distance(
             a, b, restarts=restarts, seed=3))
         # two candidates, each split into min(cpus, restarts) ranges
@@ -855,6 +862,41 @@ class TestSplitHeuristic:
             w, mode="heuristic", restarts=restarts, seed=4))
         assert [n for _, n in out] == ([1, 2, 3] if k > 22 else [1, 1, 1])
         assert out[0][0] == out[1][0] == out[2][0]
+
+    @pytest.mark.parametrize("case", ["two samples", "clique core", "signed kernel"])
+    def test_distinct_columns_change_no_result(self, monkeypatch, case):
+        cut = {
+            "two samples": lambda: gsp.stretched_cut_distance(
+                *self.two_samples(), restarts=16, seed=3),
+            "clique core": lambda: gsp.stretched_cut_distance(
+                gsp.canonical_graphon(shuffled_clique_core(1000, 2)),
+                gsp.CelebrityLimit(), restarts=16, seed=5),
+            "signed kernel": lambda: gsp.cut_norm(
+                random_step_graphon(7, k=40, t=1.0, signed=True), mode="heuristic",
+                restarts=16, seed=4),
+        }[case]
+        distinct = self.results(monkeypatch, cut)
+        # the plain product in the wrapper's place, every column computed
+        monkeypatch.setattr(cutmetric, "_distinct_columns", lambda matmat, k, computed:
+                            lambda X: computed.append(X.shape[1]) or matmat(X))
+        assert distinct == self.results(monkeypatch, cut)
+        assert distinct[0][0] == distinct[1][0] == distinct[2][0]
+
+    def test_clique_core_computes_each_distinct_column_once(self, caplog, monkeypatch):
+        # runs that reach the same selection ask for the same column; about
+        # half the columns asked for on this input are distinct
+        columns = []
+        matmat = _UnionKernel.matmat
+        monkeypatch.setattr(_UnionKernel, "matmat",
+                            lambda kern, X: columns.append(X.shape[1]) or matmat(kern, X))
+        caplog.set_level(logging.DEBUG, logger="graphonsp")
+        w = gsp.canonical_graphon(shuffled_clique_core(3000, 1))
+        gsp.stretched_cut_distance(w, gsp.CelebrityLimit(), restarts=64)
+        (rec,) = [r for r in caplog.records
+                  if r.getMessage().startswith("cut distance on the")]
+        products = rec.args[5]
+        assert sum(columns) <= 0.6 * products
+        assert rec.args[6] == sum(columns)
 
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_child_forked_after_a_split_cut_completes_its_own(self, monkeypatch):

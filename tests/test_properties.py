@@ -22,8 +22,8 @@ from graphonsp import core  # noqa: E402
 from graphonsp.cli import RunConfig, main  # noqa: E402
 
 from helpers import (brute_force_cut_norm, random_step_graphon,  # noqa: E402
-                     reference_cell_index, reference_read_edge_list,
-                     values_at_cell_midpoints)
+                     reference_adjacency, reference_cell_index,
+                     reference_read_edge_list, values_at_cell_midpoints)
 
 # derandomized and without an example database: tier-1 stays reproducible
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -175,6 +175,30 @@ def test_graph_edges_are_sorted_unique_pairs(data, n, form):
     ends = Counter(v for e in expected for v in e)
     assert g.degrees().tolist() == [ends[v] for v in range(n)]
 
+
+
+@st.composite
+def _vertex_pairs(draw, nmax=12):
+    """A vertex count and pairs of distinct vertices, repeats and either
+    orientation allowed."""
+    n = draw(st.integers(0, nmax))
+    if n < 2:
+        return n, []
+    return n, draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                            .filter(lambda p: p[0] != p[1]), max_size=40))
+
+
+@PROPERTY
+@given(case=_vertex_pairs())
+@example(case=(0, []))
+@example(case=(1, []))
+@example(case=(6, []))
+def test_adjacency_matches_the_neighbour_set_oracle(case):
+    n, pairs = case
+    A = gsp.Graph(n, pairs).adjacency()
+    assert A.shape == (n, n) and A.dtype == np.float64 and A.has_canonical_format
+    for got, want in zip((A.indptr, A.indices, A.data), reference_adjacency(n, pairs)):
+        assert np.array_equal(got, want)
 
 @st.composite
 def _graphs_with_orders(draw):
