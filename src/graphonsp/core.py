@@ -837,18 +837,31 @@ def _edge_lines(edges: np.ndarray) -> bytes:
 
     The decimal digits of all endpoints are written into one byte buffer at
     once, so the cost is a few array passes rather than one Python-level
-    write per edge.
+    write per edge.  Every number gets every digit place, from the most
+    significant down, with one integer division per place; a number shorter
+    than the place writes a leading zero before its first digit, on a byte
+    of an earlier number that a later place or the separators, written
+    last, rewrite (the first number's land on padding).
     """
     flat = edges.ravel()
     if not flat.size:
         return b""
+    places = len(str(int(flat.max())))
     ndigits = np.ones(flat.size, dtype=np.int64)
-    for d in range(1, len(str(int(flat.max())))):
+    for d in range(1, places):
         ndigits += flat >= 10**d
-    ends = np.cumsum(ndigits + 1)        # every number ends in a separator
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)
-    buf[ends - 1] = np.tile(np.frombuffer(b" \n", dtype=np.uint8), edges.shape[0])
-    for d in range(int(ndigits.max())):  # digit d, counted from the right
-        has = np.nonzero(ndigits > d)[0]
-        buf[ends[has] - 2 - d] = ord("0") + flat[has] // 10**d % 10
-    return buf.tobytes()
+    at = np.cumsum(ndigits + 1)        # every number ends in a separator
+    del ndigits
+    buf = np.empty(places - 1 + int(at[-1]), dtype=np.uint8)
+    # after places - 1 bytes of padding, each number's most significant place
+    at -= 2
+    high = np.zeros_like(flat)                   # flat // 10**(d + 1)
+    for d in range(places - 1, -1, -1):
+        q = flat // 10**d
+        high *= 10
+        buf[at] = np.subtract(q, high, out=high)  # the digit at place d
+        high = q
+        at += 1
+    buf += ord("0")
+    buf[at] = np.tile(np.frombuffer(b" \n", dtype=np.uint8), edges.shape[0])
+    return buf[places - 1:].tobytes()

@@ -12,12 +12,15 @@ restarts are split into one contiguous range per CPU the process may run
 on, the first on the calling thread and the rest on the package's one
 thread pool (``_pool``, one worker per CPU, also used by :func:`_map`);
 the first column of largest value, in the original order, wins, so the
-result is bit-identical for any number of CPUs.  There, too, each distinct
-column of a product block is computed once and copied to its repeats
-(:func:`_distinct_columns`): runs that reach the same selection ask for
-the same column, and only the count of computed columns changes.  The
-lift's kernels (at most ``EXACT_CUT_LIMIT`` cells, dense BLAS products)
-stay one serial block, with every column computed.
+result is bit-identical for any number of CPUs.  A cut called on a pool
+worker (a task of :func:`_map`) runs as one range on that worker, so no
+task on the pool waits on the pool, which a full pool would deadlock on.
+On a graph-sized kernel, too, each distinct column of a product block is
+computed once and copied to its repeats (:func:`_distinct_columns`): runs
+that reach the same selection ask for the same column, and only the count
+of computed columns changes.  The lift's kernels (at most
+``EXACT_CUT_LIMIT`` cells, dense BLAS products) stay one serial block, with
+every column computed.
 
 Both cut distances end in one comparison routine, ``_compare``: the grid
 fixes only how a candidate relabeling's difference kernel is cut by the one
@@ -31,6 +34,7 @@ from __future__ import annotations
 import itertools
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -212,13 +216,22 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+_worker = threading.local()   # on_pool is set on the pool's threads only
+
+
+def _mark_worker() -> None:
+    _worker.on_pool = True
+
+
 def _new_pool() -> None:
     """Make ``_pool``, the package's one thread pool: one worker per CPU,
-    for the split heuristic's ranges and :func:`_map`'s calls.  No task on
-    it waits on another.  It starts a thread only when a task finds none
-    idle, so importing starts none."""
+    for the split heuristic's ranges and :func:`_map`'s calls.  Each worker
+    is marked as one (``_worker.on_pool``) when it starts, and a cut called
+    there is not split, so no task on the pool waits on the pool.  It
+    starts a thread only when a task finds none idle, so importing starts
+    none."""
     global _pool
-    _pool = ThreadPoolExecutor(_cpus())
+    _pool = ThreadPoolExecutor(_cpus(), initializer=_mark_worker)
 
 
 _new_pool()
@@ -248,7 +261,8 @@ def _split_heuristic(matmat, t0: np.ndarray, ranges: int) -> list:
     ``ranges`` contiguous ranges, the first on the calling thread and the
     others on the pool; returns the ranges' results in order.  Each range's
     columns run exactly as in the whole block when every product column is
-    computed on its own."""
+    computed on its own.  On a pool worker ``ranges`` must be 1, so that
+    nothing is submitted."""
     blocks = np.array_split(t0, ranges, axis=1)
     rest = [_pool.submit(_bilinear_max_heuristic, matmat, b) for b in blocks[1:]]
     return [_bilinear_max_heuristic(matmat, blocks[0])] + [f.result() for f in rest]
@@ -309,7 +323,8 @@ def _cut(matmat, value, k: int, exact: bool, restarts: int, seed: int) -> CutRes
     are CSR products that compute every column on its own, each distinct
     column of a block is computed once (:func:`_distinct_columns`), and the
     block is split into one range per CPU, at most one per start
-    (:func:`_split_heuristic`).  The first range of largest value holds the
+    (:func:`_split_heuristic`), unless the call runs on a pool worker, where
+    it is one range.  The first range of largest value holds the
     first column of largest value, which wins, and the capped runs and
     products are summed, so the result is the same for any number of CPUs.
     The value is re-evaluated at the witness sets.
@@ -323,8 +338,8 @@ def _cut(matmat, value, k: int, exact: bool, restarts: int, seed: int) -> CutRes
         t0 = (substream(seed, 0xC07).random((restarts, k)) < 0.5).T
         if k > EXACT_CUT_LIMIT:
             counts = []
-            runs = _split_heuristic(_distinct_columns(matmat, k, counts), t0,
-                                    min(_cpus(), restarts))
+            ranges = 1 if getattr(_worker, "on_pool", False) else min(_cpus(), restarts)
+            runs = _split_heuristic(_distinct_columns(matmat, k, counts), t0, ranges)
         else:
             counts, runs = None, [_bilinear_max_heuristic(matmat, t0)]
         _, rows, cols, _, _ = max(runs, key=lambda run: run[0])

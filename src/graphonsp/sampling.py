@@ -279,34 +279,56 @@ def extract_sparse_subsequence(grid, w: GraphonSpec, resolution: int = 256,
     most ``1/m``.  Rows with no qualifying ``n`` are reported as gaps.
     ``W_m`` is :func:`core.restrict` of ``W``, with a ``RankOneExp`` kept as
     its midpoint factor, so no ``resolution x resolution`` array is formed.
+
+    The grid and ``restarts`` are checked first: an empty row, or one whose
+    cells differ in ``t_m``, raises :class:`ScheduleError`.  Then each row's
+    search is one task on the package's thread pool (``cutmetric._map``),
+    where its cuts run unsplit; the rows are put together in row order, and
+    the first failing row's error is raised.  Rows run concurrently, so the
+    DEBUG records of different rows may interleave.
     """
     if not grid or not grid[0]:
         raise ScheduleError("empty sampling grid")
+    for m, row in enumerate(grid, 1):
+        if not row:
+            raise ScheduleError(f"row {m} of the sampling grid is empty")
+        if any(cell.points.t_m != row[0].points.t_m for cell in row):
+            raise ScheduleError(f"the cells of row {m} of the sampling grid differ in t_m")
+    # the rows' own check, made before any row runs or finds no cell to cut
+    cutmetric._check_alignment_args("degree_sort", 2, restarts)
+    picks = cutmetric._map(_pick_row, [(m, row, w, resolution, restarts, seed)
+                                       for m, row in enumerate(grid, 1)],
+                           [row[0].graph.edge_count for row in grid])
     out = SparseSubsequenceSpec()
-    for mi, row in enumerate(grid):
-        m = mi + 1
-        tol = 1.0 / m
-        t_m = row[0].points.t_m
-        target = core.l1_restricted(w, t_m) / t_m**2
-        wm = core._restrict(w, t_m, resolution)
-        found = False
-        for cell in row:
-            dens = pair_density(cell.graph)
-            if abs(dens - target) > tol:
-                continue
-            if cell.graph.edge_count == 0:
-                continue  # zero canonical graphon cannot be stretched
-            dist = stretched_cut_distance(cell.canonical(), wm, mode="degree_sort",
-                                          restarts=restarts, seed=seed).distance
-            if dist <= tol:
-                out.phi[m] = cell.points.n
-                out.rows.append((m, t_m, cell.points.n, dens, target, dist))
-                found = True
-                break
-        if not found:
+    for m, (target, pick) in enumerate(picks, 1):
+        if pick is None:
             out.gaps.append((m, f"no grid entry within 1/{m} of density "
                                 f"{target!r} and distance tolerance"))
+        else:
+            out.phi[m] = pick[2]
+            out.rows.append(pick)
     return out
+
+
+def _pick_row(m: int, row, w: GraphonSpec, resolution: int, restarts: int,
+              seed: int) -> tuple:
+    """``(target, pick)`` for row ``m`` of :func:`extract_sparse_subsequence`:
+    the density limit and the first cell meeting both criteria, as a row
+    ``(m, t_m, n, density, target, distance)``, or ``None``."""
+    tol = 1.0 / m
+    t_m = row[0].points.t_m
+    target = core.l1_restricted(w, t_m) / t_m**2
+    wm = core._restrict(w, t_m, resolution)
+    for cell in row:
+        dens = pair_density(cell.graph)
+        # a zero canonical graphon cannot be stretched
+        if abs(dens - target) > tol or cell.graph.edge_count == 0:
+            continue
+        dist = stretched_cut_distance(cell.canonical(), wm, mode="degree_sort",
+                                      restarts=restarts, seed=seed).distance
+        if dist <= tol:
+            return target, (m, t_m, cell.points.n, dens, target, dist)
+    return target, None
 
 
 def sample_signal(f, points: SamplePoints) -> StepSignal:

@@ -406,8 +406,8 @@ class TestDeterminism:
         assert read_tree(a) == read_tree(b)
 
     def test_sample_files_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
-        # cells are sampled, and their edge lists written, on the pool; the
-        # subsequence's union-grid cuts split their starts across the CPUs
+        # cells are sampled, the subsequence's rows picked (each row's cuts
+        # on one worker) and the edge lists written, on the pool
         cfg = RunConfig(seed=4, graphon_family="rank_one_exp", t_schedule=[2.0, 4.0],
                         n_schedule=[100, 200, 400], resolution=32)
         monkeypatch.setattr(cutmetric, "_pool", cutmetric._pool)   # restored after

@@ -2,6 +2,7 @@ import itertools
 import logging
 import multiprocessing
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -945,25 +946,36 @@ class TestFactoredKernel:
         """``run()``'s result and, per comparison, its two inputs, its
         degree-sort permutations, its grid, its candidates ``(name, cut)``
         and its winner; with ``csr``, every factor is formed where it is
-        built."""
-        calls = []
-        compare, perm, log = (cutmetric._compare, cutmetric._degree_sort_perm,
-                              cutmetric._log_candidates)
+        built.  Comparisons may run on pool threads at once, so each thread
+        fills its own current record; the records are sorted by the ``t_m``
+        of the restriction built last on their thread (0 if none was)."""
+        calls, current = [], threading.local()
+        compare, perm, log, restrict = (cutmetric._compare, cutmetric._degree_sort_perm,
+                                        cutmetric._log_candidates, core._restrict)
+
+        def recorded_restrict(w, t_m, resolution):
+            current.t_m = t_m
+            return restrict(w, t_m, resolution)
 
         def recorded_compare(a, b, *args):
-            calls.append({"inputs": (a, b), "perms": []})
+            current.call = {"t_m": getattr(current, "t_m", 0.0), "inputs": (a, b),
+                            "perms": []}
+            calls.append(current.call)
             return compare(a, b, *args)
 
         def recorded_perm(row_sums):
-            calls[-1]["perms"].append(perm(row_sums))
-            return calls[-1]["perms"][-1]
+            current.call["perms"].append(perm(row_sums))
+            return current.call["perms"][-1]
 
         def recorded_log(grid, cells, candidates, winner):
-            calls[-1].update(grid=grid, candidates=[(name, cut) for name, cut, _ in candidates],
-                             winner=next(name for name, cut, _ in candidates if cut is winner))
+            current.call.update(grid=grid,
+                                candidates=[(name, cut) for name, cut, _ in candidates],
+                                winner=next(name for name, cut, _ in candidates
+                                            if cut is winner))
             log(grid, cells, candidates, winner)
 
         with monkeypatch.context() as m:
+            m.setattr(core, "_restrict", recorded_restrict)
             if csr:
                 for name in ("_restrict", "_rank_one_step"):
                     build = getattr(core, name)
@@ -971,7 +983,8 @@ class TestFactoredKernel:
             m.setattr(cutmetric, "_compare", recorded_compare)
             m.setattr(cutmetric, "_degree_sort_perm", recorded_perm)
             m.setattr(cutmetric, "_log_candidates", recorded_log)
-            return run(), calls
+            result = run()
+        return result, sorted(calls, key=lambda call: call["t_m"])
 
     @staticmethod
     def value_bound(fact, ref, rows, cols) -> float:
@@ -1046,6 +1059,35 @@ class TestFactoredKernel:
         assert len(fact_calls) == 3 and fact.phi == ref.phi and fact.gaps == ref.gaps
         assert [row[:5] for row in fact.rows] == [row[:5] for row in ref.rows]
         self.assert_same_choices(fact_calls, ref_calls)
+
+    def test_subsequence_does_not_depend_on_the_cpu_count(self, monkeypatch, grid):
+        # each row runs on the pool and its cuts unsplit on their worker, so
+        # a pool of one worker finishes too, where a split would wait on the
+        # pool's only thread
+        W = gsp.RankOneExp(1, 1)
+        monkeypatch.setattr(cutmetric, "_pool", cutmetric._pool)   # restored after
+        out = []
+        for workers, cpus in ((1, 1), (2, 2), (3, 3), (1, 3)):
+            monkeypatch.setattr(cutmetric, "_cpus", lambda: workers)
+            cutmetric._new_pool()
+            monkeypatch.setattr(cutmetric, "_cpus", lambda: cpus)
+            done = []
+            run = threading.Thread(target=lambda: done.append(self.comparisons(
+                monkeypatch, lambda: gsp.extract_sparse_subsequence(grid, W), False)),
+                daemon=True)
+            run.start()
+            run.join(timeout=120)
+            if run.is_alive():
+                pytest.fail(f"the extraction on {workers} workers and {cpus} CPUs "
+                            "did not finish within 120 s")
+            cutmetric._pool.shutdown()
+            spec, calls = done[0]
+            out.append((spec.rows, spec.phi, spec.gaps,
+                        [[(name, cut.value, cut.witness_rows, cut.witness_cols,
+                           cut.products, cut.computed, cut.capped_runs)
+                          for name, cut in call["candidates"]] for call in calls]))
+        assert len(out[0][3]) == 3
+        assert out[0] == out[1] == out[2] == out[3]
 
     def test_graph_against_w_matches_the_csr_path(self, monkeypatch, grid):
         G = grid[1][1].canonical()

@@ -390,6 +390,25 @@ class TestExtractSparseSubsequence:
         with pytest.raises(ScheduleError):
             gsp.extract_sparse_subsequence([], gsp.CelebrityLimit())
 
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return gsp.sample_double_sequence(gsp.CelebrityLimit(), [1.0, 2.0], [10, 20], seed=8)
+
+    def test_empty_later_row_errors(self, grid):
+        with pytest.raises(ScheduleError, match="row 2 of the sampling grid is empty"):
+            gsp.extract_sparse_subsequence([grid[0], []], gsp.CelebrityLimit())
+
+    def test_row_of_mixed_t_m_errors(self, grid):
+        with pytest.raises(ScheduleError, match="row 2 of the sampling grid differ in t_m"):
+            gsp.extract_sparse_subsequence([grid[0], [grid[1][0], grid[0][1]]],
+                                           gsp.CelebrityLimit())
+
+    def test_restarts_below_one_errors(self):
+        # even where no cut runs: a one-point sample has no edges to stretch
+        lone = gsp.sample_graph(gsp.CelebrityLimit(), 1.0, 1, seed=0)
+        with pytest.raises(ValueError, match="restarts must be at least 1, got 0"):
+            gsp.extract_sparse_subsequence([[lone]], gsp.CelebrityLimit(), restarts=0)
+
 
 class TestSampleSignal:
     def test_constant_profile(self):

@@ -1,5 +1,7 @@
 """tools/compare_outputs.py on small output trees: what it counts as a
-difference in numbers only, and what it reports as ``DIFFERS``."""
+difference in numbers only, and what it reports as ``DIFFERS``; and
+tools/output_digest.py on one small benchmark job: its lines, that they
+repeat, and how it reports a failed job."""
 
 import hashlib
 import json
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from graphonsp import cli
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import compare_outputs  # noqa: E402
+import output_digest  # noqa: E402
 
 
 def tree(root: Path, files: dict) -> Path:
@@ -72,3 +77,30 @@ def test_other_differences_print_differs_and_exit_one(tmp_path, capsys, files_a,
     assert code == 1
     assert line in lines
     assert lines[-1].endswith("1 differ in more than numbers")
+
+
+def digest_lines(monkeypatch, capsys, *argv):
+    """Exit code and printed lines of output_digest on one cutdist-exact job
+    at seed 901; the tool puts ``src`` and ``bench`` on ``sys.path``."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    code = output_digest.main(["--workload", "cutdist-exact", "--seed", "901",
+                               "--jobs", "1", *argv])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_digest_prints_one_line_per_output_file(tmp_path, monkeypatch, capsys):
+    code, lines = digest_lines(monkeypatch, capsys, "--keep", str(tmp_path / "keep"))
+    job = tmp_path / "keep" / "cutdist-exact" / "job0"
+    files = sorted(p for p in job.rglob("*") if p.is_file())
+    assert code == 0 and len(files) >= 3
+    assert lines == [f"cutdist-exact 0 {p.relative_to(job).as_posix()} "
+                     f"{hashlib.sha256(p.read_bytes()).hexdigest()}" for p in files]
+
+
+def test_digest_repeats(monkeypatch, capsys):
+    assert digest_lines(monkeypatch, capsys) == digest_lines(monkeypatch, capsys)
+
+
+def test_digest_reports_a_failed_job(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "main", lambda argv: 1)
+    assert digest_lines(monkeypatch, capsys) == (1, ["cutdist-exact 0 FAILED"])
